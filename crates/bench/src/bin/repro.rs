@@ -58,7 +58,7 @@ use vcsql_dist::{tag_distributed, SparkModel};
 use vcsql_query::analyze::Analyzed;
 use vcsql_query::AggClass;
 use vcsql_relation::mem::human_bytes;
-use vcsql_relation::Database;
+use vcsql_relation::{AbortKind, Database, RelError};
 use vcsql_server::{Arbitration, FailureStats, QueryServer, ServerConfig, TenantSession};
 use vcsql_session::Cluster;
 use vcsql_tag::TagGraph;
@@ -1614,16 +1614,9 @@ fn faults_bench(
                             out = Some(o);
                             break;
                         }
-                        Err(e) => {
-                            let msg = format!("{e}");
-                            if msg.contains("transient fault") {
-                                arm.retries += 1;
-                            } else if msg.contains("fault:") {
-                                arm.reruns += 1;
-                            } else {
-                                panic!("{workload} interval {interval}: non-fault error: {msg}");
-                            }
-                        }
+                        Err(e) if e.is_transient() => arm.retries += 1,
+                        Err(RelError::Aborted { kind: AbortKind::Fault, .. }) => arm.reruns += 1,
+                        Err(e) => panic!("{workload} interval {interval}: non-fault error: {e}"),
                     }
                 }
                 let out = out.unwrap_or_else(|| {

@@ -44,7 +44,7 @@ use vcsql_query::AggClass;
 use vcsql_relation::agg::{Accumulator, AggFunc};
 use vcsql_relation::expr::{BoundExpr, CmpOp, ColRef, Expr};
 use vcsql_relation::schema::{Column, Schema};
-use vcsql_relation::{DataType, FxHashMap, FxHashSet, RelError, Relation, Tuple, Value};
+use vcsql_relation::{AbortKind, DataType, FxHashMap, FxHashSet, RelError, Relation, Tuple, Value};
 use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
@@ -686,15 +686,12 @@ impl<'t> TagJoinExecutor<'t> {
 // Vertex-side helpers (free functions so closures stay lean)
 // ---------------------------------------------------------------------------
 
-/// Map an engine fault to the executor's error type. Transient faults carry
-/// the `transient fault` marker substring so hosts (the server's retry loop)
-/// can distinguish retry-worthy failures without a new error variant.
+/// Map an engine fault to the executor's typed abort, so hosts (the server's
+/// retry loop) tell retry-worthy failures apart with
+/// [`RelError::is_transient`].
 fn fault_to_rel(e: FaultError) -> RelError {
-    if e.is_transient() {
-        RelError::Other(format!("transient fault: {e}"))
-    } else {
-        RelError::Other(format!("fault: {e}"))
-    }
+    let kind = if e.is_transient() { AbortKind::TransientFault } else { AbortKind::Fault };
+    RelError::Aborted { kind, message: e.to_string() }
 }
 
 /// Checkpoint size of one vertex's [`St`] in bytes, mirroring the wire
@@ -1379,4 +1376,23 @@ fn build_output(a: &Analyzed, rows: Vec<Vec<Value>>) -> Result<Relation> {
         rel.push(Tuple::new(r))?;
     }
     Ok(rel)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_delivery_faults_map_to_transient_aborts() {
+        let dropped = fault_to_rel(FaultError::DeliveryFailed { from: 0, to: 1, superstep: 2 });
+        assert!(dropped.is_transient());
+        assert_eq!(
+            dropped.to_string(),
+            "transient fault: transient delivery failure 0 -> 1 at superstep 2"
+        );
+        let lost = fault_to_rel(FaultError::MachineLost { machine: 3, superstep: 1 });
+        assert!(!lost.is_transient());
+        assert!(matches!(lost, RelError::Aborted { kind: AbortKind::Fault, .. }));
+        assert_eq!(lost.to_string(), "fault: machine 3 lost at superstep 1 with no checkpoint");
+    }
 }

@@ -10,6 +10,7 @@
 //! `vcsql_core::table`), the Spark model through [`unsafe_row_bytes`] —
 //! so the byte comparison is like for like.
 
+use vcsql_bsp::RunStats;
 use vcsql_relation::Value;
 
 /// Traffic that crossed simulated machine boundaries.
@@ -49,6 +50,22 @@ pub struct NetStats {
 }
 
 impl NetStats {
+    /// The network share of one TAG run's traffic, with checkpoint writes
+    /// itemized outside the totals and recovery re-shipping inside them
+    /// (see the field docs). The engine keeps both out of its `totals`.
+    pub fn from_run(stats: &RunStats) -> NetStats {
+        let mut net = NetStats {
+            network_messages: stats.totals.network_messages,
+            network_bytes: stats.totals.network_bytes,
+            rounds: stats.supersteps,
+            ..Default::default()
+        };
+        let ft = &stats.faults;
+        net.record_checkpoint(ft.checkpoint_bytes);
+        net.record_recovery(ft.recovered_vertices, ft.recovery_bytes, ft.recovered_rounds);
+        net
+    }
+
     /// Fold another run's traffic into this one (e.g. a subquery's).
     pub fn absorb(&mut self, other: &NetStats) {
         self.network_messages += other.network_messages;
@@ -168,6 +185,34 @@ mod tests {
         assert_eq!(n.network_bytes, 100, "checkpoints are not network traffic");
         assert_eq!(n.network_messages, 10);
         assert_eq!(n.rounds, 1);
+    }
+
+    #[test]
+    fn from_run_itemizes_checkpoints_outside_and_recovery_inside_totals() {
+        let mut stats = RunStats::default();
+        stats.record(vcsql_bsp::StepStats {
+            messages: 20,
+            network_messages: 10,
+            network_bytes: 100,
+            ..Default::default()
+        });
+        stats.faults.checkpoint_bytes = 64;
+        stats.faults.recovery_bytes = 32;
+        stats.faults.recovered_vertices = 4;
+        stats.faults.recovered_rounds = 2;
+        let net = NetStats::from_run(&stats);
+        assert_eq!(
+            net,
+            NetStats {
+                network_messages: 14,
+                network_bytes: 132,
+                rounds: 1,
+                checkpoint_bytes: 64,
+                recovery_bytes: 32,
+                recovered_rounds: 2,
+                ..Default::default()
+            }
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod tuple;
 pub mod value;
 
 pub use database::Database;
-pub use error::RelError;
+pub use error::{AbortKind, RelError};
 pub use fx::{FxHashMap, FxHashSet};
 pub use mem::DeepSize;
 pub use schema::{Column, ForeignKey, Schema};

@@ -7,19 +7,17 @@
 //! the part a single [`vcsql_session::Session`] cannot model — **one**
 //! placement that every tenant's traffic must share.
 //!
-//! A lone session repartitions unilaterally: when its profile drifts it
-//! derives a fresh target and walks there. With several tenants over one
-//! graph that policy thrashes — each tenant drags the placement toward its
-//! own mix, and vertices ping-pong on every mix switch. The server instead
-//! runs a single **arbitrated repartitioning loop**
-//! ([`Arbitration::Merged`]): each tenant *votes* with its exponentially
-//! decayed [`TrafficProfile`], the votes are merged byte-weighted (a
-//! tenant's weight is the traffic it actually generates) into one
-//! consensus workload, and only when *that* drifts past the threshold does
-//! the server derive one target and migrate toward it under a global
-//! budget. [`Arbitration::Unilateral`] (per-tenant targets that overwrite
-//! each other) and [`Arbitration::Static`] (never adapt) are kept as
-//! baselines for the `repro serve` benchmark.
+//! Queries run through the same [`vcsql_session::execute_once`] and
+//! [`vcsql_session::Placement`] controller a lone session uses. A session
+//! is the controller's single unilateral proposer; with several tenants
+//! that policy thrashes, each dragging the placement toward its own mix.
+//! The server adds quorum and a merged vote ([`Arbitration::Merged`]): each
+//! tenant *votes* with its exponentially decayed [`TrafficProfile`], the
+//! votes are merged byte-weighted into one consensus workload, and only
+//! when *that* drifts past the threshold does the controller derive one
+//! target and migrate toward it under the global budget.
+//! [`Arbitration::Unilateral`] and [`Arbitration::Static`] (never adapt)
+//! are kept as baselines for the `repro serve` benchmark.
 //!
 //! Concurrency model: tenants call [`TenantSession::run_sql`] from any
 //! thread. Executions share the server's persistent
@@ -34,18 +32,18 @@ mod sync;
 
 pub use admission::{AdmissionController, AdmissionPermit, AdmissionStats};
 pub use cache::{ShardedPlanCache, TenantCacheStats};
+pub use vcsql_session::Arbitration;
 
 use crate::sync::{Mutex, MutexGuard, RwLock};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, PoisonError};
 use vcsql_bsp::{
-    balance_cap, migrate_step, EngineConfig, FaultInjector, PartitionStrategy, Partitioning,
-    TrafficProfile, WorkerPool, DEFAULT_BALANCE_SLACK,
+    EngineConfig, FaultInjector, PartitionStrategy, Partitioning, TrafficProfile, WorkerPool,
+    DEFAULT_BALANCE_SLACK,
 };
-use vcsql_core::{ExecOutput, QueryPlan, TagJoinExecutor};
+use vcsql_core::{ExecOutput, QueryPlan};
 use vcsql_dist::NetStats;
-use vcsql_relation::RelError;
-use vcsql_session::{panic_message, vertex_state_bytes};
+use vcsql_relation::{AbortKind, RelError};
+use vcsql_session::{execute_once, Placement, SessionConfig};
 use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
@@ -56,23 +54,6 @@ type Result<T> = std::result::Result<T, RelError>;
 /// consistent for everyone else.
 pub(crate) fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// How the server reconciles tenants' competing placement preferences.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Arbitration {
-    /// The arbitrated loop: merge every tenant's decayed profile
-    /// byte-weighted into one consensus workload, derive one target when
-    /// the *consensus* drifts, migrate under the global budget.
-    #[default]
-    Merged,
-    /// The naive policy a fleet of independent sessions would apply: the
-    /// executing tenant's own profile drives the target, and a drifted
-    /// tenant overwrites another tenant's in-flight target. Kept as the
-    /// thrashing baseline.
-    Unilateral,
-    /// Never adapt: the initial placement serves every tenant forever.
-    Static,
 }
 
 /// Configuration of a [`QueryServer`].
@@ -156,6 +137,43 @@ impl Default for ServerConfig {
     }
 }
 
+impl ServerConfig {
+    /// Check the knobs shared with a session ([`SessionConfig::validate`]),
+    /// then the server-only ones.
+    fn validate(&self) -> std::result::Result<(), String> {
+        self.shared().validate()?;
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let problem = if self.cache_shards == 0 {
+            "plan cache needs at least one shard".into()
+        } else if self.max_in_flight_per_tenant == 0 || self.max_in_flight_total == 0 {
+            "admission bounds must admit at least one execution".into()
+        } else if !(self.retry_backoff_secs.is_finite() && self.retry_backoff_secs >= 0.0) {
+            format!("retry backoff must be non-negative, got {}", self.retry_backoff_secs)
+        } else if !self.deadline_secs.is_none_or(positive) {
+            format!("deadline must be positive and finite, got {:?}", self.deadline_secs)
+        } else if !positive(self.bandwidth_bytes_per_sec) {
+            format!("bandwidth must be positive and finite, got {}", self.bandwidth_bytes_per_sec)
+        } else {
+            return Ok(());
+        };
+        Err(problem)
+    }
+
+    /// The knobs shared with a session: a one-tenant server's session.
+    fn shared(&self) -> SessionConfig {
+        SessionConfig {
+            machines: self.machines,
+            engine: self.engine,
+            strategy: self.strategy.clone(),
+            plan_cache_capacity: self.plan_cache_capacity,
+            drift_threshold: self.drift_threshold,
+            migration_budget: self.migration_budget,
+            balance_slack: self.balance_slack,
+            profile_half_life: self.profile_half_life,
+        }
+    }
+}
+
 /// Per-tenant (and, aggregated, per-server) failure-isolation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FailureStats {
@@ -213,27 +231,6 @@ pub struct TenantStats {
     pub failures: FailureStats,
 }
 
-/// The placement every tenant shares, plus the in-flight arbitration walk.
-#[derive(Debug)]
-struct PlacementState {
-    /// Current placement (`None` when `machines == 1`). Mid-migration this
-    /// is the in-between placement the next execution runs under.
-    current: Option<Arc<Partitioning>>,
-    /// The profile the current placement was derived from — the standing
-    /// consensus.
-    profile: TrafficProfile,
-    pending: Option<PendingMigration>,
-}
-
-/// An in-flight arbitration: the target, the vote it was derived from, and
-/// (under [`Arbitration::Unilateral`]) which tenant proposed it.
-#[derive(Debug)]
-struct PendingMigration {
-    target: Partitioning,
-    profile: TrafficProfile,
-    proposer: Option<usize>,
-}
-
 /// One tenant's server-side state.
 #[derive(Debug)]
 struct TenantState {
@@ -251,7 +248,7 @@ pub struct QueryServer {
     tag: Arc<TagGraph>,
     config: ServerConfig,
     cache: ShardedPlanCache,
-    placement: RwLock<PlacementState>,
+    placement: RwLock<Placement>,
     tenants: Mutex<Vec<Arc<TenantState>>>,
     admission: AdmissionController,
     /// Persistent worker runtime shared by every tenant's executions
@@ -273,78 +270,15 @@ impl std::fmt::Debug for QueryServer {
 
 impl QueryServer {
     /// Start a server over `tag` (the handle is cloned; the graph itself
-    /// is shared). Validates the configuration the same way
-    /// [`vcsql_session::Session::open`] does, plus the server-only knobs:
-    /// at least one cache shard and positive admission bounds.
+    /// is shared) after validating `config`.
     pub fn start(tag: &Arc<TagGraph>, config: ServerConfig) -> Result<Arc<QueryServer>> {
-        let invalid = |msg: String| RelError::Other(format!("server config: {msg}"));
-        if config.machines == 0 {
-            return Err(invalid("at least one machine required".into()));
-        }
-        if config.machines > u16::MAX as usize {
-            return Err(invalid("machine count exceeds u16".into()));
-        }
-        if config.cache_shards == 0 {
-            return Err(invalid("plan cache needs at least one shard".into()));
-        }
-        if config.plan_cache_capacity == 0 {
-            return Err(invalid("plan cache needs capacity for at least one plan".into()));
-        }
-        if config.migration_budget == 0 {
-            return Err(invalid("migration budget must allow at least one vertex".into()));
-        }
-        if !config.drift_threshold.is_finite() || config.drift_threshold <= 0.0 {
-            return Err(invalid(format!(
-                "drift threshold must be positive and finite, got {}",
-                config.drift_threshold
-            )));
-        }
-        if !config.balance_slack.is_finite() || config.balance_slack < 0.0 {
-            return Err(invalid(format!(
-                "balance slack must be non-negative, got {}",
-                config.balance_slack
-            )));
-        }
-        if let Some(h) = config.profile_half_life {
-            if !h.is_finite() || h <= 0.0 {
-                return Err(invalid(format!(
-                    "profile half-life must be positive and finite, got {h}"
-                )));
-            }
-        }
-        if config.max_in_flight_per_tenant == 0 || config.max_in_flight_total == 0 {
-            return Err(invalid("admission bounds must admit at least one execution".into()));
-        }
-        if !config.retry_backoff_secs.is_finite() || config.retry_backoff_secs < 0.0 {
-            return Err(invalid(format!(
-                "retry backoff must be non-negative and finite, got {}",
-                config.retry_backoff_secs
-            )));
-        }
-        if let Some(d) = config.deadline_secs {
-            if !d.is_finite() || d <= 0.0 {
-                return Err(invalid(format!("deadline must be positive and finite, got {d}")));
-            }
-        }
-        if !config.bandwidth_bytes_per_sec.is_finite() || config.bandwidth_bytes_per_sec <= 0.0 {
-            return Err(invalid(format!(
-                "bandwidth must be positive and finite, got {}",
-                config.bandwidth_bytes_per_sec
-            )));
-        }
-        let current = (config.machines > 1).then(|| {
-            Arc::new(vcsql_dist::tag_partitioning(tag, config.machines, &config.strategy))
-        });
-        let profile = match &config.strategy {
-            PartitionStrategy::Workload(p) => p.clone(),
-            _ => TrafficProfile::new(),
-        };
+        config.validate().map_err(|e| RelError::Other(format!("server config: {e}")))?;
         let pool =
             (config.engine.threads > 1).then(|| Arc::new(WorkerPool::new(config.engine.threads)));
         Ok(Arc::new(QueryServer {
             tag: Arc::clone(tag),
             cache: ShardedPlanCache::new(config.cache_shards, config.plan_cache_capacity),
-            placement: RwLock::new(PlacementState { current, profile, pending: None }),
+            placement: RwLock::new(Placement::new(tag, &config.shared())),
             tenants: Mutex::new(Vec::new()),
             admission: AdmissionController::new(
                 config.max_in_flight_per_tenant,
@@ -402,18 +336,18 @@ impl QueryServer {
     /// The placement every tenant currently runs under (`None` on a single
     /// machine).
     pub fn partitioning(&self) -> Option<Arc<Partitioning>> {
-        self.read_placement().current.clone()
+        self.read_placement().current().cloned()
     }
 
     /// The standing consensus profile the current placement was derived
     /// from.
     pub fn placement_profile(&self) -> TrafficProfile {
-        self.read_placement().profile.clone()
+        self.read_placement().profile().clone()
     }
 
     /// True iff an arbitration walk is in flight.
     pub fn migration_pending(&self) -> bool {
-        self.read_placement().pending.is_some()
+        self.read_placement().migration_pending()
     }
 
     /// Lifetime counters, across all tenants.
@@ -427,7 +361,7 @@ impl QueryServer {
         self.pool.as_ref()
     }
 
-    fn read_placement(&self) -> impl std::ops::Deref<Target = PlacementState> + '_ {
+    fn read_placement(&self) -> impl std::ops::Deref<Target = Placement> + '_ {
         self.placement.read().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -453,70 +387,37 @@ impl QueryServer {
     }
 
     /// The arbitration step run after each execution: form the vote
-    /// (consensus or the proposer's own profile, per policy), derive a
-    /// target when the vote drifts past the threshold, then walk the
-    /// shared placement toward the pending target one bounded migration
-    /// step at a time, charging migrated state to `net` (and so to the
-    /// execution that triggered the step).
+    /// (consensus or the proposer's own profile, per policy) and hand it to
+    /// the placement controller for one step, charging migrated state to
+    /// `net` (and so to the execution that triggered the step).
     fn arbitrate(&self, proposer: usize, net: &mut NetStats) {
-        if self.config.machines <= 1 || self.config.arbitration == Arbitration::Static {
+        let policy = self.config.arbitration;
+        if self.config.machines <= 1 || policy == Arbitration::Static {
             return;
         }
         // The vote is formed before the placement write lock: merged votes
         // take the tenant locks, and lock order is tenants → placement.
-        let (vote, quorum) = match self.config.arbitration {
+        let (vote, quorum) = match policy {
             Arbitration::Merged => self.merged_vote(),
             // Unilateral tenants don't wait for anyone — that impatience is
             // the baseline's defining (mis)behaviour.
-            Arbitration::Unilateral => {
+            Arbitration::Unilateral | Arbitration::Static => {
                 let tenants = lock(&self.tenants);
                 let profile = lock(&tenants[proposer].profile);
                 (profile.clone(), true)
             }
-            Arbitration::Static => unreachable!("static arbitration returned above"),
         };
-        let mut pl = self.placement.write().unwrap_or_else(PoisonError::into_inner);
-        let drifted = || quorum && vote.byte_drift(&pl.profile) > self.config.drift_threshold;
-        let need_target = match (&pl.pending, self.config.arbitration) {
-            (None, _) => drifted(),
-            // Unilateral tenants fight: a drifted tenant overwrites another
-            // tenant's in-flight target with its own. This is the thrash
-            // the merged policy exists to prevent.
-            (Some(p), Arbitration::Unilateral) => p.proposer != Some(proposer) && drifted(),
-            (Some(_), _) => false,
-        };
-        if need_target {
-            let target = vcsql_dist::tag_partitioning(
-                &self.tag,
-                self.config.machines,
-                &PartitionStrategy::Workload(vote.clone()),
-            );
-            pl.pending = Some(PendingMigration { target, profile: vote, proposer: Some(proposer) });
-            lock(&self.stats).adaptations += 1;
-        }
-        let Some(pending) = &pl.pending else { return };
-        let current = pl.current.as_deref().expect("machines > 1 implies a placement");
-        let cap = balance_cap(
-            self.tag.graph().vertex_count(),
-            self.config.machines,
-            self.config.balance_slack,
-        );
-        let step = migrate_step(current, &pending.target, self.config.migration_budget, cap);
-        if !step.moves.is_empty() {
-            let bytes: u64 =
-                step.moves.iter().map(|m| vertex_state_bytes(&self.tag, m.vertex)).sum();
-            net.record_migration(step.moves.len() as u64, bytes);
-            let mut stats = lock(&self.stats);
-            stats.migration_steps += 1;
-            stats.migrated_vertices += step.moves.len() as u64;
-            stats.migration_bytes += bytes;
-        }
-        let done = step.remaining == 0 || step.moves.is_empty();
-        pl.current = Some(Arc::new(step.partitioning));
-        if done {
-            let finished = pl.pending.take().expect("pending checked above");
-            pl.profile = finished.profile;
-        }
+        let step = self
+            .placement
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .step(&vote, quorum, proposer, policy);
+        net.record_migration(step.migrated_vertices, step.migration_bytes);
+        let mut stats = lock(&self.stats);
+        stats.adaptations += step.adaptations;
+        stats.migration_steps += step.migration_steps;
+        stats.migrated_vertices += step.migrated_vertices;
+        stats.migration_bytes += step.migration_bytes;
     }
 }
 
@@ -574,38 +475,25 @@ impl TenantSession {
         let outcome = (|| {
             let plan = self.prepare(sql)?;
             for attempt in 0..=cfg.max_retries {
-                let mut exec = TagJoinExecutor::new(&self.server.tag, cfg.engine);
-                if let Some(p) = self.server.partitioning() {
-                    exec = exec.with_partitioning_shared(p);
-                }
-                if let Some(pool) = &self.server.pool {
-                    exec = exec.with_worker_pool(Arc::clone(pool));
-                }
-                if let Some(inj) = &cfg.fault_injector {
-                    exec = exec.with_fault_injector(Arc::clone(inj));
-                }
-                // The executor only reads shared server state through Arcs
-                // (graph, placement, pool), so unwinding out of it cannot
-                // tear anything a later execution observes; the catch just
-                // converts the panic into this tenant's error.
-                let caught = catch_unwind(AssertUnwindSafe(|| exec.execute_plan(&plan)));
-                let err = match caught {
-                    Ok(Ok(out)) => return Ok(out),
-                    Ok(Err(e)) => e,
-                    Err(payload) => {
-                        // Panics are never retried: unlike a planned
-                        // transient fault, a panic's cause is unknown and
-                        // re-running it would just burn the budget.
-                        failures.panics += 1;
-                        return Err(RelError::Other(format!(
-                            "tenant {}: execution panicked: {}",
-                            self.tenant.id,
-                            panic_message(&*payload)
-                        )));
-                    }
+                let err = match execute_once(
+                    &self.server.tag,
+                    &plan,
+                    cfg.engine,
+                    self.server.partitioning(),
+                    self.server.pool.as_ref(),
+                    cfg.fault_injector.as_ref(),
+                ) {
+                    Ok(run) => return Ok(run),
+                    Err(e) => e,
                 };
-                let transient = format!("{err}").contains("transient fault");
-                if !transient || attempt == cfg.max_retries {
+                if matches!(err, RelError::Aborted { kind: AbortKind::Panic, .. }) {
+                    // Panics are never retried: unlike a planned transient
+                    // fault, a panic's cause is unknown and re-running it
+                    // would just burn the budget.
+                    failures.panics += 1;
+                    return Err(RelError::Other(format!("tenant {}: {err}", self.tenant.id)));
+                }
+                if !err.is_transient() || attempt == cfg.max_retries {
                     return Err(err);
                 }
                 // Exponential backoff on the modelled clock before the
@@ -622,8 +510,8 @@ impl TenantSession {
             }
             unreachable!("retry loop returns on its last attempt")
         })();
-        let out = match outcome {
-            Ok(out) => out,
+        let (out, mut net) = match outcome {
+            Ok(run) => run,
             Err(e) => {
                 // A failed execution leaves the tenant's profile, the
                 // shared placement and the query counters untouched; only
@@ -634,18 +522,6 @@ impl TenantSession {
             }
         };
         failures.recoveries += out.stats.faults.crashes_recovered;
-        let mut net = NetStats {
-            network_messages: out.stats.totals.network_messages,
-            network_bytes: out.stats.totals.network_bytes,
-            rounds: out.stats.supersteps,
-            ..Default::default()
-        };
-        // Itemize fault-tolerance traffic the same way `vcsql-session`
-        // does: checkpoints to stable storage (outside the totals),
-        // recovery re-shipping over the wire (inside them).
-        let ft = &out.stats.faults;
-        net.record_checkpoint(ft.checkpoint_bytes);
-        net.record_recovery(ft.recovered_vertices, ft.recovery_bytes, ft.recovered_rounds);
         // The deadline covers the whole query: modelled backoff waits plus
         // the successful attempt's modelled runtime.
         if let Some(deadline) = cfg.deadline_secs {
@@ -709,6 +585,7 @@ impl TenantSession {
 mod tests {
     use super::*;
     use vcsql_bsp::FaultPlan;
+    use vcsql_core::TagJoinExecutor;
     use vcsql_workload::tpch;
 
     const JOIN_SQL: &str = "SELECT c.c_name FROM customer c, orders o, lineitem l \

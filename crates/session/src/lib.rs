@@ -13,14 +13,17 @@
 //!   bounded SQL-keyed [`PlanCache`] with hit/miss statistics, yielding a
 //!   reusable [`PreparedQuery`];
 //! * [`Session::execute`] / [`Session::run_sql`] — run under the session's
-//!   current placement, fold the run's per-edge-label traffic into a
-//!   cross-query [`TrafficProfile`], and *adapt*: when the accumulated
-//!   profile drifts (byte-weighted total-variation distance,
-//!   [`TrafficProfile::byte_drift`]) past the configured threshold, the
-//!   session derives a fresh `Workload` placement and migrates vertices
-//!   toward it incrementally — at most [`SessionConfig::migration_budget`]
-//!   vertices per execution, never above the balance cap — charging every
-//!   migrated vertex's state to [`NetStats`] so adaptation cost is honest;
+//!   current placement ([`execute_once`]), fold the run's per-edge-label
+//!   traffic into a cross-query [`TrafficProfile`], and *adapt* through the
+//!   [`Placement`] controller as its single [`Arbitration::Unilateral`]
+//!   proposer (`vcsql-server` steps the same controller with a merged
+//!   vote): when the accumulated profile drifts (byte-weighted
+//!   total-variation distance, [`TrafficProfile::byte_drift`]) past the
+//!   configured threshold, the controller derives a fresh `Workload`
+//!   placement and migrates vertices toward it incrementally — at most
+//!   [`SessionConfig::migration_budget`] vertices per execution, never
+//!   above the balance cap — charging every migrated vertex's state to
+//!   [`NetStats`] so adaptation cost is honest;
 //! * [`PreparedQuery::with_placement_hint`] — per-query placement overrides
 //!   for conflicts no single placement can serve (the q17-style
 //!   part–lineitem clash: `lineitem` cannot co-partition with both `orders`
@@ -33,20 +36,21 @@
 
 mod cache;
 mod cluster;
+mod placement;
 
 pub use cache::PlanCache;
 pub use cluster::Cluster;
+pub use placement::{execute_once, Arbitration, Placement, StepCounts};
 pub use vcsql_core::{ExecOutput, QueryPlan, TagJoinExecutor};
 pub use vcsql_dist::NetStats;
 
 use std::cell::RefCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use vcsql_bsp::{
-    balance_cap, migrate_step, EngineConfig, FaultInjector, PartitionStrategy, Partitioning,
-    TrafficProfile, VertexId, WorkerPool, DEFAULT_BALANCE_SLACK,
+    EngineConfig, FaultInjector, PartitionStrategy, Partitioning, TrafficProfile, VertexId,
+    WorkerPool, DEFAULT_BALANCE_SLACK,
 };
-use vcsql_relation::{RelError, Value};
+use vcsql_relation::RelError;
 use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
@@ -98,6 +102,30 @@ impl Default for SessionConfig {
             balance_slack: DEFAULT_BALANCE_SLACK,
             profile_half_life: None,
         }
+    }
+}
+
+impl SessionConfig {
+    /// Check the knobs a session shares with `vcsql-server`'s
+    /// `ServerConfig`; the error names the first bad knob.
+    pub fn validate(&self) -> std::result::Result<(), String> {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let problem = if self.machines == 0 || self.machines > u16::MAX as usize {
+            format!("machine count must be in 1..={}, got {}", u16::MAX, self.machines)
+        } else if self.plan_cache_capacity == 0 {
+            "plan cache needs capacity for at least one plan".into()
+        } else if self.migration_budget == 0 {
+            "migration budget must allow at least one vertex per step".into()
+        } else if !positive(self.drift_threshold) {
+            format!("drift threshold must be positive and finite, got {}", self.drift_threshold)
+        } else if !(self.balance_slack.is_finite() && self.balance_slack >= 0.0) {
+            format!("balance slack must be non-negative and finite, got {}", self.balance_slack)
+        } else if !self.profile_half_life.is_none_or(positive) {
+            format!("profile half-life must be positive, got {:?}", self.profile_half_life)
+        } else {
+            return Ok(());
+        };
+        Err(problem)
     }
 }
 
@@ -164,15 +192,6 @@ impl PreparedQuery {
     }
 }
 
-/// An in-flight adaptation: the target placement and the profile snapshot it
-/// was derived from (adopted as the placement's profile once the walk
-/// completes).
-#[derive(Debug)]
-struct PendingMigration {
-    target: Partitioning,
-    profile: TrafficProfile,
-}
-
 /// A long-lived query session over one TAG graph: prepared statements, a
 /// plan cache, one placement shared across queries, and online
 /// repartitioning as the observed workload drifts. The graph is held by
@@ -182,20 +201,15 @@ pub struct Session {
     tag: Arc<TagGraph>,
     config: SessionConfig,
     cache: PlanCache,
-    /// Current placement (`None` when `machines == 1`), shared with the
-    /// executor per run instead of copied.
-    partitioning: Option<Arc<Partitioning>>,
+    /// Current placement (shared with the executor by `Arc`) and its walk.
+    placement: Placement,
     /// Persistent worker runtime shared across every execution this session
     /// performs (`None` for single-threaded engine configs). Workers park
     /// between queries, so prepared-query re-execution pays no thread churn.
     workers: Option<Arc<WorkerPool>>,
-    /// The profile the current placement was derived from (empty for the
-    /// static strategies — any observed traffic then drifts maximally and
-    /// self-tunes the session on first use).
-    placement_profile: TrafficProfile,
-    /// Cross-query observed traffic, seeded with the placement profile.
+    /// Cross-query observed traffic, seeded with the placement profile:
+    /// the session's vote.
     accumulated: TrafficProfile,
-    pending: Option<PendingMigration>,
     /// Deterministic fault injection shared by every execution this session
     /// runs (`None` = fault-free). Fired-once semantics span queries.
     faults: Option<Arc<FaultInjector>>,
@@ -204,51 +218,10 @@ pub struct Session {
 
 impl Session {
     /// Open a session over `tag` (the handle is cloned; the graph itself is
-    /// shared). Validates the configuration: at least one machine, a
-    /// non-empty plan cache, a positive migration budget, a positive finite
-    /// drift threshold, non-negative balance slack and a positive finite
-    /// profile half-life when one is set.
+    /// shared), after [`SessionConfig::validate`].
     pub fn open(tag: &Arc<TagGraph>, config: SessionConfig) -> Result<Session> {
-        if config.machines == 0 {
-            return Err(RelError::Other("session needs at least one machine".into()));
-        }
-        if config.machines > u16::MAX as usize {
-            return Err(RelError::Other("session machine count exceeds u16".into()));
-        }
-        if config.plan_cache_capacity == 0 {
-            return Err(RelError::Other("plan cache needs capacity for at least one plan".into()));
-        }
-        if config.migration_budget == 0 {
-            return Err(RelError::Other(
-                "migration budget must allow at least one vertex per step".into(),
-            ));
-        }
-        if !config.drift_threshold.is_finite() || config.drift_threshold <= 0.0 {
-            return Err(RelError::Other(format!(
-                "drift threshold must be positive and finite, got {}",
-                config.drift_threshold
-            )));
-        }
-        if !config.balance_slack.is_finite() || config.balance_slack < 0.0 {
-            return Err(RelError::Other(format!(
-                "balance slack must be non-negative, got {}",
-                config.balance_slack
-            )));
-        }
-        if let Some(h) = config.profile_half_life {
-            if !h.is_finite() || h <= 0.0 {
-                return Err(RelError::Other(format!(
-                    "profile half-life must be positive and finite, got {h}"
-                )));
-            }
-        }
-        let partitioning = (config.machines > 1).then(|| {
-            Arc::new(vcsql_dist::tag_partitioning(tag, config.machines, &config.strategy))
-        });
-        let placement_profile = match &config.strategy {
-            PartitionStrategy::Workload(p) => p.clone(),
-            _ => TrafficProfile::new(),
-        };
+        config.validate().map_err(|e| RelError::Other(format!("session config: {e}")))?;
+        let placement = Placement::new(tag, &config);
         let cache = PlanCache::new(config.plan_cache_capacity);
         // One persistent worker pool for the session's whole life: its OS
         // threads spawn on the first superstep that actually fans out, and
@@ -257,11 +230,9 @@ impl Session {
             (config.engine.threads > 1).then(|| Arc::new(WorkerPool::new(config.engine.threads)));
         Ok(Session {
             tag: Arc::clone(tag),
-            accumulated: placement_profile.clone(),
-            placement_profile,
-            partitioning,
+            accumulated: placement.profile().clone(),
+            placement,
             workers,
-            pending: None,
             faults: None,
             stats: SessionStats::default(),
             cache,
@@ -300,37 +271,14 @@ impl Session {
     /// contract as [`Session::load_profile`]'s error paths. Every session
     /// mutation below happens after the fallible execution returns `Ok`.
     pub fn execute(&mut self, prepared: &PreparedQuery) -> Result<(ExecOutput, NetStats)> {
-        let mut exec = TagJoinExecutor::new(&self.tag, self.config.engine);
-        if let Some(p) = self.placement_for(prepared) {
-            exec = exec.with_partitioning_shared(p);
-        }
-        if let Some(pool) = &self.workers {
-            exec = exec.with_worker_pool(Arc::clone(pool));
-        }
-        if let Some(inj) = &self.faults {
-            exec = exec.with_fault_injector(Arc::clone(inj));
-        }
-        // The executor borrows no session state mutably (graph and placement
-        // are shared by Arc), so unwinding out of it cannot leave the
-        // session torn — the catch only converts the panic into the same
-        // unchanged-session error path an `Err` takes.
-        let out = catch_unwind(AssertUnwindSafe(|| exec.execute_plan(prepared.plan()))).map_err(
-            |payload| RelError::Other(format!("execution panicked: {}", panic_message(&*payload))),
-        )??;
-        let mut net = NetStats {
-            network_messages: out.stats.totals.network_messages,
-            network_bytes: out.stats.totals.network_bytes,
-            rounds: out.stats.supersteps,
-            ..Default::default()
-        };
-        // Charge fault-tolerance traffic: checkpoint writes go to stable
-        // storage (itemized, outside the network totals); recovery re-ships
-        // the crashed partition's checkpoint state over the wire (itemized
-        // and counted in the totals, like migrations). The engine keeps
-        // these out of its per-label `totals`, so nothing is double-billed.
-        let ft = &out.stats.faults;
-        net.record_checkpoint(ft.checkpoint_bytes);
-        net.record_recovery(ft.recovered_vertices, ft.recovery_bytes, ft.recovered_rounds);
+        let (out, mut net) = execute_once(
+            &self.tag,
+            prepared.plan(),
+            self.config.engine,
+            self.placement_for(prepared),
+            self.workers.as_ref(),
+            self.faults.as_ref(),
+        )?;
         if let Some(h) = self.config.profile_half_life {
             self.accumulated.decay(0.5f64.powf(1.0 / h));
         }
@@ -339,7 +287,12 @@ impl Session {
         // Hinted executions bypass adaptation entirely: their placement is
         // per-query, so neither the drift check nor a migration step runs.
         if prepared.hint.is_none() {
-            self.adapt(&mut net);
+            let step = self.placement.step(&self.accumulated, true, 0, Arbitration::Unilateral);
+            net.record_migration(step.migrated_vertices, step.migration_bytes);
+            self.stats.adaptations += step.adaptations;
+            self.stats.migration_steps += step.migration_steps;
+            self.stats.migrated_vertices += step.migrated_vertices;
+            self.stats.migration_bytes += step.migration_bytes;
         }
         self.stats.net.absorb(&net);
         Ok((out, net))
@@ -374,60 +327,14 @@ impl Session {
                     }
                 }
             }
-            None => self.partitioning.clone(),
-        }
-    }
-
-    /// The online-repartitioning step run after each unhinted execution:
-    /// derive a target placement when drift crosses the threshold, then walk
-    /// toward the pending target one bounded migration step at a time,
-    /// charging migrated vertex state to `net`.
-    fn adapt(&mut self, net: &mut NetStats) {
-        if self.config.machines <= 1 {
-            return;
-        }
-        if self.pending.is_none()
-            && self.accumulated.byte_drift(&self.placement_profile) > self.config.drift_threshold
-        {
-            let profile = self.accumulated.clone();
-            let target = vcsql_dist::tag_partitioning(
-                &self.tag,
-                self.config.machines,
-                &PartitionStrategy::Workload(profile.clone()),
-            );
-            self.pending = Some(PendingMigration { target, profile });
-            self.stats.adaptations += 1;
-        }
-        let Some(pending) = &self.pending else { return };
-        let current = self.partitioning.as_deref().expect("machines > 1 implies a placement");
-        let cap = balance_cap(
-            self.tag.graph().vertex_count(),
-            self.config.machines,
-            self.config.balance_slack,
-        );
-        let step = migrate_step(current, &pending.target, self.config.migration_budget, cap);
-        if !step.moves.is_empty() {
-            let bytes: u64 =
-                step.moves.iter().map(|m| vertex_state_bytes(&self.tag, m.vertex)).sum();
-            net.record_migration(step.moves.len() as u64, bytes);
-            self.stats.migration_steps += 1;
-            self.stats.migrated_vertices += step.moves.len() as u64;
-            self.stats.migration_bytes += bytes;
-        }
-        // Converged — or cap-blocked with no progress possible (loads no
-        // longer change): adopt the target's profile either way.
-        let done = step.remaining == 0 || step.moves.is_empty();
-        self.partitioning = Some(Arc::new(step.partitioning));
-        if done {
-            let finished = self.pending.take().expect("pending checked above");
-            self.placement_profile = finished.profile;
+            None => self.placement.current().cloned(),
         }
     }
 
     /// Arm deterministic fault injection: every execution this session runs
     /// from now on shares `injector`, so its fired-once fault semantics span
-    /// queries. Injected faults surface as ordinary [`RelError`]s from
-    /// [`Session::execute`] (transient ones marked `transient fault:` for
+    /// queries. Injected faults surface as [`RelError::Aborted`] errors from
+    /// [`Session::execute`] (transient ones [`RelError::is_transient`], for
     /// retry policies upstream) and, per the failure contract there, a
     /// failed execution leaves the session unchanged.
     pub fn set_fault_injector(&mut self, injector: Arc<FaultInjector>) {
@@ -454,7 +361,7 @@ impl Session {
     /// every session evacuating the same machine from the same placement
     /// lands on the identical new placement.
     pub fn evacuate_machine(&mut self, m: u16) -> Result<u64> {
-        let Some(current) = self.partitioning.as_deref() else {
+        let Some(current) = self.placement.current() else {
             return Err(RelError::Other(
                 "evacuate_machine: a single-machine session has no surviving machine".into(),
             ));
@@ -465,7 +372,6 @@ impl Session {
                 "evacuate_machine: machine {m} out of range for {machines} machines"
             )));
         }
-        self.pending = None;
         let n = self.tag.graph().vertex_count();
         let mut assignment: Vec<u16> = (0..n).map(|v| current.machine_of(v as VertexId)).collect();
         let mut load = current.load();
@@ -483,7 +389,9 @@ impl Session {
             load[target as usize] += 1;
             moved += 1;
         }
-        self.partitioning = Some(Arc::new(Partitioning::from_assignment(assignment, machines)));
+        let evacuated = Arc::new(Partitioning::from_assignment(assignment, machines));
+        let profile = self.placement.profile().clone();
+        self.placement.reset(Some(evacuated), profile);
         Ok(moved)
     }
 
@@ -510,7 +418,7 @@ impl Session {
             self.config.machines, self.stats.queries
         );
         out.push_str(&self.accumulated.to_text());
-        if let Some(p) = &self.partitioning {
+        if let Some(p) = self.placement.current() {
             out.push_str(&p.to_text());
         }
         out
@@ -553,10 +461,8 @@ impl Session {
             }
             None => None,
         };
-        self.partitioning = partitioning;
-        self.placement_profile = profile.clone();
+        self.placement.reset(partitioning, profile.clone());
         self.accumulated = profile;
-        self.pending = None;
         Ok(())
     }
 
@@ -568,7 +474,7 @@ impl Session {
     /// The current placement (`None` on a single machine). Mid-migration
     /// this is the in-between placement the next query will run under.
     pub fn partitioning(&self) -> Option<&Partitioning> {
-        self.partitioning.as_deref()
+        self.placement.current().map(|p| &**p)
     }
 
     /// The cross-query observed traffic profile (seeded with the initial
@@ -579,13 +485,13 @@ impl Session {
 
     /// The profile the current placement was derived from.
     pub fn placement_profile(&self) -> &TrafficProfile {
-        &self.placement_profile
+        self.placement.profile()
     }
 
     /// True iff an adaptation is mid-walk (a target placement exists that
     /// the session has not fully migrated to yet).
     pub fn migration_pending(&self) -> bool {
-        self.pending.is_some()
+        self.placement.migration_pending()
     }
 
     /// Lifetime counters.
@@ -596,35 +502,6 @@ impl Session {
     /// The plan cache (capacity, occupancy, hit/miss counters).
     pub fn plan_cache(&self) -> &PlanCache {
         &self.cache
-    }
-}
-
-/// Best-effort text of a caught panic payload (`&str` and `String` cover
-/// every `panic!` in this workspace). Public so `vcsql-server`'s failure
-/// isolation renders the identical message.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("non-string panic payload")
-}
-
-/// Wire size of one vertex's state, charged when the vertex migrates: the
-/// same 8-byte-word-plus-aligned-strings model both engines charge for
-/// messages (`Table::approx_bytes`, `unsafe_row_bytes`), plus one id word.
-/// Public so `vcsql-server`'s arbitrated migration charges the identical
-/// model.
-pub fn vertex_state_bytes(tag: &TagGraph, v: VertexId) -> u64 {
-    let value_words = |val: &Value| -> u64 {
-        8 + match val {
-            Value::Str(s) => (s.len() as u64).div_ceil(8) * 8,
-            _ => 0,
-        }
-    };
-    8 + match tag.tuple(v) {
-        Some(t) => t.0.iter().map(value_words).sum::<u64>(),
-        None => tag.attr_value(v).map(value_words).unwrap_or(8),
     }
 }
 

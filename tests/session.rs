@@ -11,16 +11,19 @@
 //!   `NetStats`.
 //! * Per-query placement hints override the session placement for q17-style
 //!   conflicts and leave the session's own placement untouched.
+//! * A session is a one-tenant server under `Arbitration::Unilateral`: both
+//!   front ends drive the same execution path and placement controller, so
+//!   they ship the same bytes and end on the same placement.
 
 use std::sync::Arc;
-use vcsql::bsp::EngineConfig;
+use vcsql::bsp::{EngineConfig, PartitionStrategy};
 use vcsql::core::TagJoinExecutor;
 use vcsql::query::analyze::{analyze, Analyzed};
 use vcsql::query::parse;
 use vcsql::relation::Database;
 use vcsql::tag::TagGraph;
 use vcsql::workload::{tpcds, tpch};
-use vcsql::{Cluster, Session, SessionConfig};
+use vcsql::{Arbitration, Cluster, QueryServer, ServerConfig, Session, SessionConfig};
 
 fn analyze_suite(tag: &TagGraph, queries: &[vcsql::workload::BenchQuery]) -> Vec<Analyzed> {
     queries.iter().map(|q| analyze(&parse(q.sql).unwrap(), tag.schemas()).unwrap()).collect()
@@ -168,4 +171,75 @@ fn placement_hints_serve_q17_style_conflicts() {
         net_u.network_bytes
     );
     assert_eq!(net_h.migration_bytes, 0, "hinted runs never migrate the session placement");
+}
+
+/// The unification pinned: a `Session` and a one-tenant `QueryServer` under
+/// `Arbitration::Unilateral`, opened with the same shared knobs, serve a
+/// drifting TPC-H sequence (the suite, then a part–lineitem phase that pulls
+/// `lineitem` away from `orders`) with identical per-query traffic —
+/// migrations included — identical adaptation counters, and the identical
+/// final placement, vertex by vertex.
+#[test]
+fn session_is_a_one_tenant_unilateral_server() {
+    let db = tpch::generate(0.01, 42);
+    let tag = Arc::new(TagGraph::build(&db));
+    let shared = SessionConfig {
+        machines: 4,
+        engine: EngineConfig::sequential(),
+        strategy: PartitionStrategy::Refined,
+        drift_threshold: 0.2,
+        migration_budget: 300,
+        balance_slack: 0.15,
+        profile_half_life: Some(4.0),
+        ..SessionConfig::default()
+    };
+    let mut session = Session::open(&tag, shared.clone()).unwrap();
+    let server = QueryServer::start(
+        &tag,
+        ServerConfig {
+            machines: shared.machines,
+            engine: shared.engine,
+            strategy: shared.strategy.clone(),
+            drift_threshold: shared.drift_threshold,
+            migration_budget: shared.migration_budget,
+            balance_slack: shared.balance_slack,
+            profile_half_life: shared.profile_half_life,
+            arbitration: Arbitration::Unilateral,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let tenant = server.open_session();
+
+    let part_phase = [
+        "SELECT p.p_name FROM part p, lineitem l WHERE p.p_partkey = l.l_partkey",
+        "SELECT p.p_name, l.l_quantity FROM part p, lineitem l \
+         WHERE p.p_partkey = l.l_partkey AND l.l_quantity < 10",
+    ];
+    let sequence: Vec<&str> = tpch::queries()
+        .iter()
+        .map(|q| q.sql)
+        .chain(part_phase.iter().cycle().take(8).copied())
+        .collect();
+    for (i, sql) in sequence.iter().enumerate() {
+        let (session_out, session_net) = session.run_sql(sql).unwrap();
+        let (server_out, server_net) = tenant.run_sql(sql).unwrap();
+        assert!(session_out.relation.same_bag_approx(&server_out.relation, 1e-9), "query {i}");
+        assert_eq!(session_net, server_net, "query {i}: per-query NetStats diverged");
+    }
+
+    let (s, v) = (session.stats(), server.stats());
+    assert!(s.adaptations >= 2, "the drifting sequence must adapt more than once");
+    assert!(s.migrated_vertices > 0);
+    assert_eq!(s.adaptations, v.adaptations);
+    assert_eq!(s.migration_steps, v.migration_steps);
+    assert_eq!(s.migrated_vertices, v.migrated_vertices);
+    assert_eq!(s.migration_bytes, v.migration_bytes);
+    assert_eq!(s.net, v.net);
+    assert_eq!(session.migration_pending(), server.migration_pending());
+    assert_eq!(session.placement_profile(), &server.placement_profile());
+    let (ours, theirs) = (session.partitioning().unwrap(), server.partitioning().unwrap());
+    for v in tag.graph().vertices() {
+        assert_eq!(ours.machine_of(v), theirs.machine_of(v), "vertex {v} placed differently");
+    }
 }
