@@ -17,12 +17,18 @@
 //! * [`index`] — hash indexes on PK/FK columns, standing in for the B-tree
 //!   indexes the TPC protocol prescribes (used for index-nested-loop joins
 //!   and for the loading-cost experiments).
+//! * [`spark`] — a Spark-like shuffle-join network-cost model, the
+//!   distributed comparison engine of the paper's Section 8.6: it charges
+//!   the exchanges of a shuffle/broadcast join plan as a
+//!   [`NetStats`](vcsql_bsp::NetStats).
 
 pub mod columnar;
 pub mod exec;
 pub mod index;
 pub mod row;
+pub mod spark;
 
 pub use columnar::ColumnarDatabase;
 pub use exec::{execute, ExecConfig, JoinAlgo};
 pub use index::HashIndex;
+pub use spark::{unsafe_row_bytes, SparkModel};

@@ -14,8 +14,14 @@
 //! residual predicates applied as soon as their tables are joined) so the
 //! byte counts reflect true data sizes rather than estimates; only the
 //! *placement* of tuples is modelled statistically.
+//!
+//! Traffic is reported as a [`NetStats`], the same struct the TAG executor's
+//! distributed runs report, and rows are charged by [`unsafe_row_bytes`] —
+//! one 8-byte word per value plus 8-byte-aligned string payloads, the wire
+//! model `vcsql_core::Table::approx_bytes` charges too — so the byte
+//! comparison with TAG-join is like for like.
 
-use crate::netstats::{unsafe_row_bytes, NetStats};
+use vcsql_bsp::NetStats;
 use vcsql_query::analyze::{lower_subquery, Analyzed, LoweredSubquery, TableBinding};
 use vcsql_relation::expr::{BoundExpr, ColRef, Expr};
 use vcsql_relation::{Database, FxHashMap, FxHashSet, RelError, Value};
@@ -24,6 +30,24 @@ type Result<T> = std::result::Result<T, RelError>;
 
 /// One equi-join equality: `(left (table, col), right (table, col))`.
 type EquiKey = ((usize, usize), (usize, usize));
+
+/// Modelled size of one row in Spark's `UnsafeRow` shuffle format: an
+/// 8-byte null bitmap word (per 64 columns), one 8-byte word per field, and
+/// 8-byte-aligned variable-length data for strings. This is what Spark's
+/// shuffle serializer actually writes, so the shuffle-join model charges it
+/// instead of an idealized packed encoding.
+pub fn unsafe_row_bytes(row: &[Value]) -> u64 {
+    let bitmap = 8 * (row.len() as u64).div_ceil(64).max(1);
+    let fixed = 8 * row.len() as u64;
+    let variable: u64 = row
+        .iter()
+        .map(|v| match v {
+            Value::Str(s) => (s.len() as u64).div_ceil(8) * 8,
+            _ => 0,
+        })
+        .sum();
+    bitmap + fixed + variable
+}
 
 /// Cluster parameters of the modelled Spark deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -419,4 +443,50 @@ fn bind_if_covered(e: &Expr, a: &Analyzed, inter: &Inter) -> Result<Option<Bound
             .ok_or_else(|| RelError::UnknownColumn(c.name.clone()))
     })?;
     Ok(Some(bound))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vcsql_query::{analyze::analyze, parse};
+    use vcsql_workload::tpch;
+
+    fn analyzed(sql: &str) -> Analyzed {
+        analyze(&parse(sql).unwrap(), &tpch::schemas()).unwrap()
+    }
+
+    const JOIN_SQL: &str = "SELECT c.c_name FROM customer c, orders o, lineitem l \
+                            WHERE c.c_custkey = o.o_custkey AND o.o_orderkey = l.l_orderkey";
+
+    #[test]
+    fn unsafe_row_sizes() {
+        // 1 bitmap word + 3 fields + "0123456789" padded to 16.
+        assert_eq!(
+            unsafe_row_bytes(&[Value::Int(1), Value::Null, Value::str("0123456789")]),
+            8 + 24 + 16
+        );
+        // Empty row still pays the bitmap word.
+        assert_eq!(unsafe_row_bytes(&[]), 8);
+    }
+
+    #[test]
+    fn broadcast_threshold_changes_traffic() {
+        let db = tpch::generate(0.02, 42);
+        // nation is tiny: with a generous threshold it broadcasts (m-1
+        // copies of a small table) instead of shuffling the big side.
+        let a = analyzed(
+            "SELECT n.n_name FROM nation n, customer c WHERE n.n_nationkey = c.c_nationkey",
+        );
+        let shuffle = SparkModel { machines: 6, broadcast_threshold: 0 }.run(&a, &db).unwrap();
+        let bcast = SparkModel { machines: 6, broadcast_threshold: 10 << 20 }.run(&a, &db).unwrap();
+        assert!(bcast.network_bytes < shuffle.network_bytes);
+    }
+
+    #[test]
+    fn single_machine_spark_model_is_free() {
+        let db = tpch::generate(0.01, 5);
+        let a = analyzed(JOIN_SQL);
+        let net = SparkModel { machines: 1, broadcast_threshold: 0 }.run(&a, &db).unwrap();
+        assert_eq!(net.network_bytes, 0);
+    }
 }

@@ -49,18 +49,18 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use vcsql_baseline::SparkModel;
 use vcsql_bench::{markdown_table, ms, prepare, run_system_with, speedup, time, Loaded, System};
 use vcsql_bsp::{EngineConfig, FaultInjector, FaultPlan, PartitionStrategy, TrafficProfile};
 use vcsql_core::cyclic;
 use vcsql_core::twoway::{two_way_join, TwoWaySpec};
 use vcsql_core::TagJoinExecutor;
-use vcsql_dist::{tag_distributed, SparkModel};
 use vcsql_query::analyze::Analyzed;
 use vcsql_query::AggClass;
 use vcsql_relation::mem::human_bytes;
 use vcsql_relation::{AbortKind, Database, RelError};
 use vcsql_server::{Arbitration, FailureStats, QueryServer, ServerConfig, TenantSession};
-use vcsql_session::Cluster;
+use vcsql_session::{modelled_runtime, Cluster, NetStats};
 use vcsql_tag::TagGraph;
 use vcsql_workload::{synthetic, tpcds, tpch, BenchQuery};
 
@@ -858,7 +858,7 @@ fn distributed(sf: f64, strategies: &[PartitionStrategy], profile_from: Option<&
         let tag = Arc::new(TagGraph::build(&db));
         let spark = SparkModel::default();
         let cluster = Cluster::new(spark.machines).bandwidth(bw).static_placement();
-        let runtime = |secs: f64, net: &vcsql_dist::NetStats| {
+        let runtime = |secs: f64, net: &NetStats| {
             cluster.modelled_runtime(secs, net).expect("bandwidth validated at parse time")
         };
         // Materialize the `workload` strategy once per measured workload.
@@ -1237,8 +1237,7 @@ fn serve_world(
             let t = session.id();
             for sql in serve_mix(t).1 {
                 let ((_, net), secs) = time(|| session.run_sql(sql).expect("serve query runs"));
-                let service =
-                    vcsql_dist::modelled_runtime(secs, &net, bw).expect("bandwidth validated");
+                let service = modelled_runtime(secs, &net, bw).expect("bandwidth validated");
                 let arrival = issued[t] as f64 / qps;
                 let start = finish[t].max(arrival);
                 finish[t] = start + service;
@@ -1805,7 +1804,13 @@ fn triangle_theta() {
 fn reshuffle(sf: f64) {
     println!("\n## A4 — Reshuffle bytes vs join-chain length (paper §5.2.2)\n");
     let db = tpch::generate(sf, SEED);
-    let tag = TagGraph::build(&db);
+    let tag = Arc::new(TagGraph::build(&db));
+    let mut session = Cluster::new(6)
+        .strategy(PartitionStrategy::Hash)
+        .engine(EngineConfig::with_threads(4))
+        .static_placement()
+        .session(&tag)
+        .unwrap();
     let chains = [
         ("2-way", "SELECT c.c_name FROM customer c, orders o WHERE c.c_custkey = o.o_custkey"),
         (
@@ -1831,7 +1836,7 @@ fn reshuffle(sf: f64) {
     for (label, sql) in chains {
         let a = vcsql_query::analyze::analyze(&vcsql_query::parse(sql).unwrap(), tag.schemas())
             .unwrap();
-        let (_, net) = tag_distributed(&tag, &a, 6, EngineConfig::with_threads(4)).unwrap();
+        let (_, net) = session.run_sql(sql).unwrap();
         let shuffle = spark.run(&a, &db).unwrap();
         rows.push(vec![
             label.to_string(),

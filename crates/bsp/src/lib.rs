@@ -14,7 +14,7 @@
 //! * per-superstep and total statistics: messages, bytes, active vertices —
 //!   the paper's *communication cost* measure, and
 //! * optional machine [`Partitioning`] so a distributed cluster can be
-//!   simulated by counting cross-machine traffic (used by `vcsql-dist`),
+//!   simulated by counting cross-machine traffic (reported as [`NetStats`]),
 //!   with pluggable placement strategies ([`PartitionStrategy`]: hash
 //!   baseline, anchor co-location, label-propagation refinement) and
 //!   edge-cut/balance [`PartitionDiagnostics`].
@@ -49,4 +49,4 @@ pub use partition::{
 };
 pub use pool::WorkerPool;
 pub use program::{run_program, Aggregator, Message, VertexProgram};
-pub use stats::{FaultTraffic, LabelTraffic, RunStats, StepStats, TrafficProfile};
+pub use stats::{FaultTraffic, LabelTraffic, NetStats, RunStats, StepStats, TrafficProfile};

@@ -15,6 +15,13 @@
 //! calibration run, serializable to a small text format so one process can
 //! profile a workload and a later one can partition for it (the
 //! `PartitionStrategy::Workload` placement in [`crate::partition`]).
+//!
+//! A [`NetStats`] is the network share of a run (paper Section 8.6 measures
+//! total network traffic during query execution): the bytes and messages
+//! that crossed a simulated machine boundary, with migration, checkpoint
+//! and recovery costs itemized. The TAG executor and the shuffle-join model
+//! (`vcsql-baseline`'s `SparkModel`) both report it under the same wire
+//! model, so their byte counts compare like for like.
 
 use crate::graph::Graph;
 use crate::interner::LabelId;
@@ -81,7 +88,7 @@ impl LabelTraffic {
 /// the network, and recovery replays are an overhead of the failure — mixing
 /// either into `totals` would corrupt the paper's communication-cost measure
 /// and the byte-golden baselines. The distributed layer decides which of
-/// these to also bill as network traffic (see `vcsql-dist`'s `NetStats`).
+/// these to also bill as network traffic (see [`NetStats::from_run`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultTraffic {
     /// Bytes written to checkpoints (vertex state + pending inboxes + the
@@ -188,6 +195,107 @@ impl RunStats {
     }
 }
 
+/// Traffic that crossed simulated machine boundaries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NetStats {
+    /// Messages (TAG) or shuffled/broadcast tuples (Spark model) sent over
+    /// the network.
+    pub network_messages: u64,
+    /// Bytes sent over the network.
+    pub network_bytes: u64,
+    /// Communication rounds: BSP supersteps (TAG) or exchange stages —
+    /// shuffles plus broadcasts (Spark model).
+    pub rounds: u64,
+    /// Of `network_messages`, those that were *vertex migrations*: online
+    /// repartitioning relocating a vertex's state to another machine
+    /// (`vcsql-session`'s adaptation loop). Itemized so adaptation cost is
+    /// visible, but included in the totals — shipping state is real traffic.
+    pub migration_messages: u64,
+    /// Of `network_bytes`, the bytes of migrated vertex state. Invariant:
+    /// `migration_bytes <= network_bytes`.
+    pub migration_bytes: u64,
+    /// Bytes written to superstep checkpoints (fault tolerance). **Not**
+    /// included in `network_bytes`: checkpoints go to (simulated) stable
+    /// storage local to each machine, not over the wire — itemized here so
+    /// the checkpoint-interval tradeoff is measurable without corrupting
+    /// the paper's network-traffic figure.
+    pub checkpoint_bytes: u64,
+    /// Of `network_bytes`, bytes re-shipped to restore crashed partitions
+    /// from a checkpoint (confined recovery: only the lost machine's share
+    /// travels). Invariant: `recovery_bytes <= network_bytes`.
+    pub recovery_bytes: u64,
+    /// Supersteps replayed after crash rollbacks. **Not** included in
+    /// `rounds`: the replayed rounds' traffic is recorded once (the replay
+    /// is bit-identical), so counting them again would double-bill; they
+    /// are itemized here as the recovery's latency cost.
+    pub recovered_rounds: u64,
+}
+
+impl NetStats {
+    /// The network share of one TAG run's traffic, with checkpoint writes
+    /// itemized outside the totals and recovery re-shipping inside them
+    /// (see the field docs). The engine keeps both out of its `totals`.
+    pub fn from_run(stats: &RunStats) -> NetStats {
+        let mut net = NetStats {
+            network_messages: stats.totals.network_messages,
+            network_bytes: stats.totals.network_bytes,
+            rounds: stats.supersteps,
+            ..Default::default()
+        };
+        let ft = &stats.faults;
+        net.record_checkpoint(ft.checkpoint_bytes);
+        net.record_recovery(ft.recovered_vertices, ft.recovery_bytes, ft.recovered_rounds);
+        net
+    }
+
+    /// Fold another run's traffic into this one (e.g. a subquery's).
+    pub fn absorb(&mut self, other: &NetStats) {
+        self.network_messages += other.network_messages;
+        self.network_bytes += other.network_bytes;
+        self.rounds += other.rounds;
+        self.migration_messages += other.migration_messages;
+        self.migration_bytes += other.migration_bytes;
+        self.checkpoint_bytes += other.checkpoint_bytes;
+        self.recovery_bytes += other.recovery_bytes;
+        self.recovered_rounds += other.recovered_rounds;
+    }
+
+    /// Record one exchange of `tuples` totalling `bytes`.
+    pub fn record_exchange(&mut self, tuples: u64, bytes: u64) {
+        self.network_messages += tuples;
+        self.network_bytes += bytes;
+        self.rounds += 1;
+    }
+
+    /// Charge the relocation of `vertices` vertices totalling `bytes` of
+    /// state to the network (online repartitioning). Grows both the totals
+    /// and the itemized migration counters; migrations ride along existing
+    /// supersteps, so `rounds` is untouched.
+    pub fn record_migration(&mut self, vertices: u64, bytes: u64) {
+        self.network_messages += vertices;
+        self.network_bytes += bytes;
+        self.migration_messages += vertices;
+        self.migration_bytes += bytes;
+    }
+
+    /// Charge `bytes` of checkpoint writes. Itemized only — checkpoints are
+    /// stable-storage writes, not network traffic (see the field doc).
+    pub fn record_checkpoint(&mut self, bytes: u64) {
+        self.checkpoint_bytes += bytes;
+    }
+
+    /// Charge a crash recovery: `vertices` restored vertices totalling
+    /// `bytes` of re-shipped checkpoint state (network traffic, like
+    /// migrations), after rolling back `rounds` supersteps (itemized, not
+    /// added to `rounds` — the replayed traffic is recorded once).
+    pub fn record_recovery(&mut self, vertices: u64, bytes: u64, rounds: u64) {
+        self.network_messages += vertices;
+        self.network_bytes += bytes;
+        self.recovery_bytes += bytes;
+        self.recovered_rounds += rounds;
+    }
+}
+
 /// Magic first line of the profile text format.
 const PROFILE_HEADER: &str = "vcsql-traffic-profile v1";
 
@@ -229,6 +337,18 @@ impl TrafficProfile {
         for (name, t) in &other.entries {
             self.entries.entry(name.clone()).or_default().add(t);
         }
+    }
+
+    /// Observe one execution: decay the accumulated counters by
+    /// `0.5^(1/h)` when a half-life of `h` executions is given (see
+    /// [`TrafficProfile::decay`]), then fold in the run's per-label traffic
+    /// over `graph`. This is the one step by which sessions and server
+    /// tenants accumulate the profile they vote with.
+    pub fn observe_run(&mut self, stats: &RunStats, graph: &Graph, half_life: Option<f64>) {
+        if let Some(h) = half_life {
+            self.decay(0.5f64.powf(1.0 / h));
+        }
+        self.absorb(&TrafficProfile::from_run(stats, graph));
     }
 
     /// Insert an explicit zero entry for every edge label of `graph` that
@@ -568,5 +688,91 @@ mod tests {
         p.cover_graph(&g);
         assert_eq!(p.get("r.b"), Some(LabelTraffic::default()));
         assert_eq!(p.get("r.a").unwrap().messages, 2, "cover_graph must not clobber");
+    }
+
+    #[test]
+    fn absorb_accumulates() {
+        let mut a = NetStats::default();
+        a.record_exchange(10, 100);
+        let mut b = NetStats::default();
+        b.record_exchange(5, 50);
+        a.absorb(&b);
+        assert_eq!(
+            a,
+            NetStats { network_messages: 15, network_bytes: 150, rounds: 2, ..Default::default() }
+        );
+    }
+
+    #[test]
+    fn migration_is_itemized_and_counted_in_totals() {
+        let mut n = NetStats::default();
+        n.record_exchange(10, 100);
+        n.record_migration(3, 48);
+        assert_eq!(n.network_messages, 13);
+        assert_eq!(n.network_bytes, 148);
+        assert_eq!(n.migration_messages, 3);
+        assert_eq!(n.migration_bytes, 48);
+        assert_eq!(n.rounds, 1, "migration must not add a round");
+        assert!(n.migration_bytes <= n.network_bytes);
+        let mut m = NetStats::default();
+        m.absorb(&n);
+        assert_eq!(m.migration_bytes, 48);
+    }
+
+    #[test]
+    fn checkpoints_are_itemized_outside_totals() {
+        let mut n = NetStats::default();
+        n.record_exchange(10, 100);
+        n.record_checkpoint(64);
+        assert_eq!(n.checkpoint_bytes, 64);
+        assert_eq!(n.network_bytes, 100, "checkpoints are not network traffic");
+        assert_eq!(n.network_messages, 10);
+        assert_eq!(n.rounds, 1);
+    }
+
+    #[test]
+    fn from_run_itemizes_checkpoints_outside_and_recovery_inside_totals() {
+        let mut stats = RunStats::default();
+        stats.record(StepStats {
+            messages: 20,
+            network_messages: 10,
+            network_bytes: 100,
+            ..Default::default()
+        });
+        stats.faults.checkpoint_bytes = 64;
+        stats.faults.recovery_bytes = 32;
+        stats.faults.recovered_vertices = 4;
+        stats.faults.recovered_rounds = 2;
+        let net = NetStats::from_run(&stats);
+        assert_eq!(
+            net,
+            NetStats {
+                network_messages: 14,
+                network_bytes: 132,
+                rounds: 1,
+                checkpoint_bytes: 64,
+                recovery_bytes: 32,
+                recovered_rounds: 2,
+                ..Default::default()
+            }
+        );
+    }
+
+    #[test]
+    fn recovery_is_itemized_and_counted_in_totals() {
+        let mut n = NetStats::default();
+        n.record_exchange(10, 100);
+        n.record_recovery(4, 32, 2);
+        assert_eq!(n.network_messages, 14);
+        assert_eq!(n.network_bytes, 132, "restored state travels the network");
+        assert_eq!(n.recovery_bytes, 32);
+        assert_eq!(n.recovered_rounds, 2);
+        assert_eq!(n.rounds, 1, "replayed rounds are recorded once, not re-billed");
+        assert!(n.recovery_bytes <= n.network_bytes);
+        let mut m = NetStats::default();
+        m.absorb(&n);
+        assert_eq!(m.recovery_bytes, 32);
+        assert_eq!(m.checkpoint_bytes, 0);
+        assert_eq!(m.recovered_rounds, 2);
     }
 }

@@ -41,9 +41,8 @@ use vcsql_bsp::{
     DEFAULT_BALANCE_SLACK,
 };
 use vcsql_core::{ExecOutput, QueryPlan};
-use vcsql_dist::NetStats;
 use vcsql_relation::{AbortKind, RelError};
-use vcsql_session::{execute_once, Placement, SessionConfig};
+use vcsql_session::{execute_once, modelled_runtime, NetStats, Placement, SessionConfig};
 use vcsql_tag::TagGraph;
 
 type Result<T> = std::result::Result<T, RelError>;
@@ -525,8 +524,7 @@ impl TenantSession {
         // The deadline covers the whole query: modelled backoff waits plus
         // the successful attempt's modelled runtime.
         if let Some(deadline) = cfg.deadline_secs {
-            let runtime =
-                waited + vcsql_dist::modelled_runtime(0.0, &net, cfg.bandwidth_bytes_per_sec)?;
+            let runtime = waited + modelled_runtime(0.0, &net, cfg.bandwidth_bytes_per_sec)?;
             if runtime > deadline {
                 failures.timeouts += 1;
                 lock(&self.tenant.stats).failures.add(&failures);
@@ -537,13 +535,8 @@ impl TenantSession {
                 )));
             }
         }
-        {
-            let mut profile = lock(&self.tenant.profile);
-            if let Some(h) = self.server.config.profile_half_life {
-                profile.decay(0.5f64.powf(1.0 / h));
-            }
-            profile.absorb(&TrafficProfile::from_run(&out.stats, self.server.tag.graph()));
-        }
+        let half_life = self.server.config.profile_half_life;
+        lock(&self.tenant.profile).observe_run(&out.stats, self.server.tag.graph(), half_life);
         self.server.arbitrate(self.tenant.id, &mut net);
         {
             let mut stats = lock(&self.tenant.stats);

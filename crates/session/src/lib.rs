@@ -3,9 +3,8 @@
 //! The paper's scheme (Smagulova & Deutsch, SIGMOD 2021) encodes the
 //! database *once* and runs many queries against it, and communication-
 //! optimal parallel evaluation is fundamentally a multi-round, workload-
-//! dependent problem (Beame–Koutris–Suciu). The one-shot entry points the
-//! reproduction grew up with (`run_sql`, the `vcsql-dist` free functions)
-//! model neither, so this crate owns the lifecycle:
+//! dependent problem (Beame–Koutris–Suciu). A one-shot `run_sql` models
+//! neither, so this crate owns the lifecycle:
 //!
 //! * [`Session::open`] — bind a [`TagGraph`] to a [`SessionConfig`] (machine
 //!   count, engine, initial placement strategy, adaptation knobs);
@@ -30,19 +29,22 @@
 //!   and `part`). Hint precedence: query hint > session placement > initial
 //!   strategy.
 //!
-//! [`Cluster`] is the builder that subsumes the old `vcsql-dist`
-//! calibrate→profile→execute free functions:
-//! `Cluster::new(machines).bandwidth(..).strategy(..).session(&tag)`.
+//! [`Cluster`] is the builder sessions are opened from —
+//! `Cluster::new(machines).bandwidth(..).strategy(..).session(&tag)` — and
+//! owns the calibration pass of the workload-aware loop
+//! ([`Cluster::calibrate`]). [`tag_partitioning`] places a TAG under a
+//! strategy and [`modelled_runtime`] is the paper's Fig 16 runtime model;
+//! both front ends share them.
 
 mod cache;
 mod cluster;
 mod placement;
 
 pub use cache::PlanCache;
-pub use cluster::Cluster;
-pub use placement::{execute_once, Arbitration, Placement, StepCounts};
+pub use cluster::{modelled_runtime, Cluster};
+pub use placement::{execute_once, tag_partitioning, Arbitration, Placement, StepCounts};
+pub use vcsql_bsp::NetStats;
 pub use vcsql_core::{ExecOutput, QueryPlan, TagJoinExecutor};
-pub use vcsql_dist::NetStats;
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -126,6 +128,11 @@ impl SessionConfig {
             return Ok(());
         };
         Err(problem)
+    }
+
+    /// [`SessionConfig::validate`] as the error sessions and clusters return.
+    pub(crate) fn check(&self) -> Result<()> {
+        self.validate().map_err(|e| RelError::Other(format!("session config: {e}")))
     }
 }
 
@@ -220,7 +227,7 @@ impl Session {
     /// Open a session over `tag` (the handle is cloned; the graph itself is
     /// shared), after [`SessionConfig::validate`].
     pub fn open(tag: &Arc<TagGraph>, config: SessionConfig) -> Result<Session> {
-        config.validate().map_err(|e| RelError::Other(format!("session config: {e}")))?;
+        config.check()?;
         let placement = Placement::new(tag, &config);
         let cache = PlanCache::new(config.plan_cache_capacity);
         // One persistent worker pool for the session's whole life: its OS
@@ -279,10 +286,7 @@ impl Session {
             self.workers.as_ref(),
             self.faults.as_ref(),
         )?;
-        if let Some(h) = self.config.profile_half_life {
-            self.accumulated.decay(0.5f64.powf(1.0 / h));
-        }
-        self.accumulated.absorb(&TrafficProfile::from_run(&out.stats, self.tag.graph()));
+        self.accumulated.observe_run(&out.stats, self.tag.graph(), self.config.profile_half_life);
         self.stats.queries += 1;
         // Hinted executions bypass adaptation entirely: their placement is
         // per-query, so neither the drift check nor a migration step runs.
@@ -317,7 +321,7 @@ impl Session {
                 match cached.as_ref() {
                     Some((machines, p)) if *machines == self.config.machines => Some(Arc::clone(p)),
                     _ => {
-                        let p = Arc::new(vcsql_dist::tag_partitioning(
+                        let p = Arc::new(tag_partitioning(
                             &self.tag,
                             self.config.machines,
                             &PartitionStrategy::Workload(profile.clone()),

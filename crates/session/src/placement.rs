@@ -12,6 +12,17 @@ use vcsql_core::{ExecOutput, QueryPlan, TagJoinExecutor};
 use vcsql_relation::{AbortKind, RelError, Value};
 use vcsql_tag::TagGraph;
 
+/// Build a machine partitioning of `tag` with the given strategy. The TAG's
+/// attribute vertices are the anchors: under `CoLocate`/`Refined` they
+/// hash-place and tuple vertices cluster around them.
+pub fn tag_partitioning(
+    tag: &TagGraph,
+    machines: usize,
+    strategy: &PartitionStrategy,
+) -> Partitioning {
+    strategy.partition(tag.graph(), machines, &|v| !tag.is_tuple_vertex(v))
+}
+
 /// Run `plan` once under `placement`, on the given worker pool and fault
 /// injector, returning the output and its [`NetStats::from_run`] traffic.
 /// A panic in the executor becomes an [`AbortKind::Panic`] error: the
@@ -101,9 +112,8 @@ impl Placement {
     /// The initial placement of a valid `config`'s strategy (none on one
     /// machine); a `Workload` strategy's profile is its placement profile.
     pub fn new(tag: &Arc<TagGraph>, config: &SessionConfig) -> Placement {
-        let current = (config.machines > 1).then(|| {
-            Arc::new(vcsql_dist::tag_partitioning(tag, config.machines, &config.strategy))
-        });
+        let current = (config.machines > 1)
+            .then(|| Arc::new(tag_partitioning(tag, config.machines, &config.strategy)));
         let profile = match &config.strategy {
             PartitionStrategy::Workload(p) => p.clone(),
             _ => TrafficProfile::new(),
@@ -170,7 +180,7 @@ impl Placement {
         };
         if need_target {
             let strategy = PartitionStrategy::Workload(vote.clone());
-            let target = vcsql_dist::tag_partitioning(&self.tag, current.machines(), &strategy);
+            let target = tag_partitioning(&self.tag, current.machines(), &strategy);
             self.pending = Some(Pending { target, profile: vote.clone(), proposer });
             counts.adaptations = 1;
         }

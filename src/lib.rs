@@ -24,13 +24,25 @@
 pub use vcsql_baseline as baseline;
 pub use vcsql_bsp as bsp;
 pub use vcsql_core as core;
-pub use vcsql_dist as dist;
 pub use vcsql_query as query;
 pub use vcsql_relation as relation;
 pub use vcsql_server as server;
 pub use vcsql_session as session;
 pub use vcsql_tag as tag;
 pub use vcsql_workload as workload;
+
+/// The paper's Section 8.6 distributed study in one namespace: TAG
+/// placement ([`tag_partitioning`](dist::tag_partitioning)), the network
+/// share of a run ([`NetStats`](dist::NetStats)), the Spark shuffle-join
+/// comparison model ([`SparkModel`](dist::SparkModel)) and the Fig 16
+/// runtime model ([`modelled_runtime`](dist::modelled_runtime)). Each item
+/// lives in the crate that owns its concept; sessions over a simulated
+/// cluster are opened from a [`Cluster`].
+pub mod dist {
+    pub use vcsql_baseline::SparkModel;
+    pub use vcsql_bsp::NetStats;
+    pub use vcsql_session::{modelled_runtime, tag_partitioning};
+}
 
 pub use vcsql_bsp::{Fault, FaultError, FaultInjector, FaultPlan};
 pub use vcsql_server::{Arbitration, QueryServer, ServerConfig, TenantSession};

@@ -2,14 +2,16 @@
 //!
 //! The workspace's soundness story concentrates its risk in a few files: the
 //! `unsafe` type-erasure in `bsp::pool`, the disjoint-`&mut` wrapper in
-//! `bsp::engine`, and the wire-sizing code in `dist`. This pass enforces the
+//! `bsp::engine`, and the byte accounting that the paper's traffic figures
+//! rest on (`bsp::stats`, `baseline::spark`, `session::cluster`,
+//! `session::placement`). This pass enforces the
 //! *policies* around that concentration — things `rustc` and `clippy` have no
 //! opinion on:
 //!
 //! | rule | requirement |
 //! |------|-------------|
 //! | `unsafe-needs-safety-comment` | every `unsafe` usage sits under a `// SAFETY:` comment or a `/// # Safety` doc section |
-//! | `unsafe-outside-allowlist` | the `unsafe` keyword appears only in `bsp::pool`, `bsp::engine`, `dist::*`, and `compat/*` |
+//! | `unsafe-outside-allowlist` | the `unsafe` keyword appears only in `bsp::pool`, `bsp::engine`, and `compat/*` |
 //! | `no-thread-spawn` | threads are spawned only by `bsp::pool` and the server admission dispatcher (each through its `sync` shim) and the `compat` shims |
 //! | `no-wall-clock-in-accounting` | byte/message accounting files never read `Instant` (determinism: counts must not depend on time) |
 //! | `allow-needs-justification` | every `#[allow(...)]` outside `compat/*` carries a comment explaining why |
@@ -31,9 +33,9 @@ use std::path::{Path, PathBuf};
 /// Files allowed to use the `unsafe` keyword, exactly.
 const UNSAFE_ALLOW_FILES: &[&str] = &["crates/bsp/src/pool.rs", "crates/bsp/src/engine.rs"];
 
-/// Path prefixes allowed to use the `unsafe` keyword (`dist` wire sizing;
-/// `compat` shims mirror external crates' APIs).
-const UNSAFE_ALLOW_PREFIXES: &[&str] = &["crates/dist/src/", "crates/compat/"];
+/// Path prefixes allowed to use the `unsafe` keyword (`compat` shims mirror
+/// external crates' APIs).
+const UNSAFE_ALLOW_PREFIXES: &[&str] = &["crates/compat/"];
 
 /// Files allowed to name `thread::spawn` / `thread::Builder`: the pool (the
 /// one sanctioned thread owner), the server's admission dispatcher (one
@@ -57,9 +59,9 @@ const SPAWN_ALLOW_PREFIXES: &[&str] = &["crates/compat/"];
 /// be a pure function of the data, so wall-clock reads are banned here.
 const ACCOUNTING_FILES: &[&str] = &[
     "crates/bsp/src/stats.rs",
-    "crates/dist/src/netstats.rs",
-    "crates/dist/src/spark.rs",
-    "crates/dist/src/lib.rs",
+    "crates/baseline/src/spark.rs",
+    "crates/session/src/cluster.rs",
+    "crates/session/src/placement.rs",
 ];
 
 /// Prefixes exempt from `allow-needs-justification`: compat shims hold
@@ -355,8 +357,8 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
                     rule: "unsafe-outside-allowlist",
                     file: path.to_string(),
                     line,
-                    message: "`unsafe` is confined to bsp::pool, bsp::engine, dist, and \
-                              compat; refactor or extend the allowlist deliberately"
+                    message: "`unsafe` is confined to bsp::pool, bsp::engine and compat; \
+                              refactor or extend the allowlist deliberately"
                         .to_string(),
                 });
             } else if !has_safety_cover(&lx, i) {
@@ -554,6 +556,14 @@ mod tests {
     fn instant_in_accounting_code_is_flagged() {
         let src = "fn f() {\n    let t = std::time::Instant::now();\n    let _ = t;\n}\n";
         assert_eq!(rules("crates/bsp/src/stats.rs", src), vec!["no-wall-clock-in-accounting"]);
+        // So is the Spark model and the session's cluster/placement code.
+        for path in [
+            "crates/baseline/src/spark.rs",
+            "crates/session/src/cluster.rs",
+            "crates/session/src/placement.rs",
+        ] {
+            assert_eq!(rules(path, src), vec!["no-wall-clock-in-accounting"], "{path}");
+        }
         // The same code is fine in a bench crate.
         assert!(rules("crates/bench/src/lib.rs", src).is_empty());
     }
