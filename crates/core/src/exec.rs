@@ -35,8 +35,8 @@ use crate::table::{ColKey, Partial, Table, TagMsg};
 use std::sync::Arc;
 use vcsql_bsp::program::Aggregator;
 use vcsql_bsp::{
-    Computation, EngineConfig, FaultError, FaultInjector, LabelId, LabelTraffic, PartitionStrategy,
-    Partitioning, RunStats, VertexCtx, VertexId, WorkerPool,
+    Computation, Edge, EngineConfig, FaultError, FaultInjector, LabelId, LabelTraffic,
+    PartitionStrategy, Partitioning, RunStats, VertexCtx, VertexId, WorkerPool,
 };
 use vcsql_query::analyze::{lower_subquery, Analyzed, LoweredSubquery, OutputItem};
 use vcsql_query::tagplan::{Step, TagPlan};
@@ -54,12 +54,20 @@ type Result<T> = std::result::Result<T, RelError>;
 #[derive(Default, Clone)]
 pub struct St {
     /// Marked edges per label: the witnesses recorded during reduction
-    /// (Algorithm 2 line 9/19).
-    marked: FxHashMap<LabelId, FxHashSet<VertexId>>,
+    /// (Algorithm 2 line 9/19), each list sorted and deduplicated. Most
+    /// vertices hold a witness or two, so flat lists beat hashed sets.
+    marked: Vec<(LabelId, Vec<VertexId>)>,
     /// Cached filter verdict for tuple vertices.
     pass: Option<bool>,
     /// Local-aggregation state at group-key attribute vertices.
     la: Option<FxHashMap<Box<[Value]>, Partial>>,
+}
+
+impl St {
+    /// The sorted witnesses recorded for `label` (empty when none).
+    fn marks(&self, label: LabelId) -> &[VertexId] {
+        self.marked.iter().find(|(l, _)| *l == label).map_or(&[], |(_, m)| m)
+    }
 }
 
 /// Execution result: the output relation plus the run's communication and
@@ -90,8 +98,9 @@ impl<'t> TagJoinExecutor<'t> {
     /// each fault fires at most once across the whole execution) injects
     /// the plan's faults and checkpoints at the injector's cadence.
     /// Recovered crashes never change results; unabsorbable faults surface
-    /// as [`RelError::Other`] — transient ones marked `transient fault` so
-    /// hosts can retry.
+    /// as [`RelError::Aborted`] with [`AbortKind::Fault`] or
+    /// [`AbortKind::TransientFault`], and hosts retry the latter (see
+    /// [`RelError::is_transient`]).
     pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
         self.faults = Some(injector);
         self
@@ -307,24 +316,23 @@ impl<'t> TagJoinExecutor<'t> {
         struct Desc {
             pass: Pass,
             cur: LabelId,
-            step: Step,
             prev: Option<(LabelId, bool)>,
         }
         let mut descs: Vec<Desc> = Vec::with_capacity(3 * steps.len());
         let mut prev: Option<(LabelId, bool)> = None;
         for s in &steps {
             let cur = q.label(*s)?;
-            descs.push(Desc { pass: Pass::Red { down: false }, cur, step: *s, prev });
+            descs.push(Desc { pass: Pass::Red { down: false }, cur, prev });
             prev = Some((cur, false));
         }
         for s in steps.iter().rev() {
             let cur = q.label(*s)?;
-            descs.push(Desc { pass: Pass::Red { down: true }, cur, step: *s, prev });
+            descs.push(Desc { pass: Pass::Red { down: true }, cur, prev });
             prev = Some((cur, true));
         }
         for s in &steps {
             let cur = q.label(*s)?;
-            descs.push(Desc { pass: Pass::Col, cur, step: *s, prev });
+            descs.push(Desc { pass: Pass::Col, cur, prev });
             prev = Some((cur, true));
         }
 
@@ -334,8 +342,8 @@ impl<'t> TagJoinExecutor<'t> {
         while i < descs.len() {
             let d = &descs[i];
             match d.pass {
-                Pass::Red { down } => self.reduction_step(comp, q, d.cur, d.step, d.prev, down),
-                Pass::Col => self.collection_step(comp, q, d.cur, d.step, d.prev),
+                Pass::Red { down } => self.reduction_step(comp, q, d.cur, d.prev, down),
+                Pass::Col => self.collection_step(comp, q, d.cur, d.prev),
             }
             if let Some(from) = comp.take_replay() {
                 debug_assert!(from >= base, "rollback past the phase-start checkpoint");
@@ -356,7 +364,6 @@ impl<'t> TagJoinExecutor<'t> {
         comp: &mut Computation<'_, St, TagMsg>,
         q: &QueryCtx,
         cur: LabelId,
-        step: Step,
         prev: Option<(LabelId, bool)>,
         down: bool,
     ) {
@@ -371,22 +378,13 @@ impl<'t> TagJoinExecutor<'t> {
             // (c) send own id along edges with the current label; top-down
             // sends follow bottom-up marks (line 17).
             let vid = ctx.id();
-            let targets: Vec<VertexId> = {
-                let edges = ctx.edges_with(cur);
-                if down {
-                    let marked = ctx.state.marked.get(&cur);
-                    edges
-                        .iter()
-                        .filter(|e| marked.is_some_and(|m| m.contains(&e.target)))
-                        .map(|e| e.target)
-                        .collect()
-                } else {
-                    edges.iter().map(|e| e.target).collect()
+            let edges = ctx.edges_with(cur);
+            if down {
+                send_along_marked(ctx, cur, edges, || TagMsg::Signal(vid));
+            } else {
+                for e in edges {
+                    ctx.send_along(cur, e.target, TagMsg::Signal(vid));
                 }
-            };
-            let _ = step;
-            for t in targets {
-                ctx.send_along(cur, t, TagMsg::Signal(vid));
             }
         });
     }
@@ -397,33 +395,20 @@ impl<'t> TagJoinExecutor<'t> {
         comp: &mut Computation<'_, St, TagMsg>,
         q: &QueryCtx,
         cur: LabelId,
-        step: Step,
         prev: Option<(LabelId, bool)>,
     ) {
         let tag = self.tag;
-        let _ = step;
         comp.superstep_simple(|ctx: &mut VertexCtx<'_, '_, St, TagMsg>| {
             // Signals still in flight from the reduction's last step update
             // marks; tables are collected.
             record_marks(ctx, prev);
-            let value = match compute_value(ctx, q, tag) {
-                Some(v) => v,
-                None => return,
-            };
-            let marked = match ctx.state.marked.get(&cur) {
-                Some(m) if !m.is_empty() => m.clone(),
-                _ => return,
-            };
-            let value = Arc::new(value);
-            let targets: Vec<VertexId> = ctx
-                .edges_with(cur)
-                .iter()
-                .filter(|e| marked.contains(&e.target))
-                .map(|e| e.target)
-                .collect();
-            for t in targets {
-                ctx.send_along(cur, t, TagMsg::Table(Arc::clone(&value)));
+            if ctx.state.marks(cur).is_empty() {
+                return;
             }
+            let Some(value) = compute_value(ctx, q, tag) else { return };
+            let value = Arc::new(value);
+            let edges = ctx.edges_with(cur);
+            send_along_marked(ctx, cur, edges, || TagMsg::Table(Arc::clone(&value)));
         });
     }
 
@@ -513,7 +498,9 @@ impl<'t> TagJoinExecutor<'t> {
             debug_assert_eq!(value.cols, q.final_layout, "unexpected final layout");
             // Residual predicates (cross-table filters, broken cycle
             // equalities, multi-table subquery checks).
-            value.retain(|row| q.residuals.iter().all(|r| r.check(row).unwrap_or(false)));
+            if !q.residuals.is_empty() {
+                value.retain(|row| q.residuals.iter().all(|r| r.check(row).unwrap_or(false)));
+            }
             if value.is_empty() {
                 return;
             }
@@ -525,43 +512,33 @@ impl<'t> TagJoinExecutor<'t> {
                         }
                     });
                 }
-                _ => {
-                    // Partial aggregation per group key.
+                AggClass::Local => {
+                    // Partial aggregation per group key at this root: each
+                    // `(root, group)` partial is one message.
                     let mut local: FxHashMap<Box<[Value]>, Partial> = FxHashMap::default();
-                    value.for_each_row(|row| {
-                        let key: Box<[Value]> =
-                            q.group_pos.iter().map(|&p| row[p].clone()).collect();
-                        let part = local.entry(key).or_insert_with(|| q.fresh_partial(row));
-                        let _ = q.update_partial(part, row);
-                    });
-                    if a.agg_class == AggClass::Local {
-                        // Route each group's partial to the group-key
-                        // attribute vertex along this root's own edge
-                        // (Section 7, local aggregation); NULL keys (or
-                        // unmaterialized group columns) fall back to the
-                        // global aggregator.
-                        for (key, part) in local {
-                            let routed = q.la_route.and_then(|label| {
-                                if key[0].is_null() {
-                                    return None;
-                                }
-                                ctx.edges_with(label).first().map(|e| (label, e.target))
-                            });
-                            match routed {
-                                Some((label, target)) => ctx.send_along(
-                                    label,
-                                    target,
-                                    TagMsg::Partial(Arc::new((key, part))),
-                                ),
-                                None => merge_group(&mut g.groups, key, part),
+                    q.fold_rows(&value, &mut local);
+                    // Route each group's partial to the group-key attribute
+                    // vertex along this root's own edge (Section 7, local
+                    // aggregation); NULL keys (or unmaterialized group
+                    // columns) fall back to the global aggregator.
+                    for (key, part) in local {
+                        let routed = q.la_route.and_then(|label| {
+                            if key[0].is_null() {
+                                return None;
                             }
-                        }
-                    } else {
-                        for (key, part) in local {
-                            merge_group(&mut g.groups, key, part);
+                            ctx.edges_with(label).first().map(|e| (label, e.target))
+                        });
+                        match routed {
+                            Some((label, target)) => ctx.send_along(
+                                label,
+                                target,
+                                TagMsg::Partial(Arc::new((key, part))),
+                            ),
+                            None => merge_group(&mut g.groups, key, part),
                         }
                     }
                 }
+                AggClass::Global | AggClass::Scalar => q.fold_rows(&value, &mut g.groups),
             }
         });
         debug_assert!(comp.take_replay().is_none(), "forced checkpoint precludes replay");
@@ -585,18 +562,16 @@ impl<'t> TagJoinExecutor<'t> {
                 // this superstep: checkpoint so a crash recovers in-call.
                 comp.checkpoint_now();
                 comp.superstep_simple(|ctx: &mut VertexCtx<'_, '_, St, TagMsg>| {
-                    let mut received: Vec<(Box<[Value]>, Partial)> = Vec::new();
                     for m in ctx.messages() {
-                        if let TagMsg::Partial(kp) = m {
-                            received.push((kp.0.clone(), kp.1.clone()));
+                        let TagMsg::Partial(kp) = m else { continue };
+                        let (key, part) = &**kp;
+                        let la = ctx.state.la.get_or_insert_with(FxHashMap::default);
+                        match la.get_mut(key) {
+                            Some(g) => merge_partial(g, part),
+                            None => {
+                                la.insert(key.clone(), part.clone());
+                            }
                         }
-                    }
-                    if received.is_empty() {
-                        return;
-                    }
-                    let la = ctx.state.la.get_or_insert_with(FxHashMap::default);
-                    for (k, p) in received {
-                        merge_group(la, k, p);
                     }
                 });
                 debug_assert!(comp.take_replay().is_none(), "forced checkpoint precludes replay");
@@ -605,10 +580,8 @@ impl<'t> TagJoinExecutor<'t> {
                 }
                 let mut groups = fin.groups;
                 for v in la_attrs {
-                    if let Some(map) = &comp.state(v).la {
-                        for (k, p) in map {
-                            merge_group(&mut groups, k.clone(), p.clone());
-                        }
+                    for (k, p) in comp.state_mut(v).la.take().into_iter().flatten() {
+                        merge_group(&mut groups, k, p);
                     }
                 }
                 self.groups_to_output(a, q, groups)
@@ -701,7 +674,7 @@ fn fault_to_rel(e: FaultError) -> RelError {
 /// price as a shipped `TagMsg::Partial`.
 fn st_state_bytes(st: &St) -> u64 {
     let mut bytes = 8; // fixed per-vertex header word
-    for marks in st.marked.values() {
+    for (_, marks) in &st.marked {
         bytes += 8 + 8 * marks.len() as u64;
     }
     if st.pass.is_some() {
@@ -723,20 +696,70 @@ fn st_state_bytes(st: &St) -> u64 {
 /// replace during top-down (Algorithm 2 lines 9 and 19).
 fn record_marks(ctx: &mut VertexCtx<'_, '_, St, TagMsg>, prev: Option<(LabelId, bool)>) {
     let Some((label, replace)) = prev else { return };
-    let mut senders: Option<FxHashSet<VertexId>> = None;
-    for m in ctx.messages() {
-        if let TagMsg::Signal(from) = m {
-            senders.get_or_insert_with(FxHashSet::default).insert(*from);
+    let senders = ctx.messages().iter().filter_map(|m| match m {
+        TagMsg::Signal(from) => Some(*from),
+        _ => None,
+    });
+    update_marks(&mut ctx.state.marked, label, senders, replace);
+}
+
+/// Fold `senders` into the sorted, deduplicated witness list of `label`:
+/// union when `replace` is false, replace otherwise. No senders leaves the
+/// marks untouched (a label gets a list only once it has a witness). The
+/// list's buffer is reused; inboxes arrive in sender order, so the sort
+/// mostly sees a sorted run.
+fn update_marks(
+    marked: &mut Vec<(LabelId, Vec<VertexId>)>,
+    label: LabelId,
+    senders: impl IntoIterator<Item = VertexId>,
+    replace: bool,
+) {
+    let mut senders = senders.into_iter().peekable();
+    if senders.peek().is_none() {
+        return;
+    }
+    let i = match marked.iter().position(|(l, _)| *l == label) {
+        Some(i) => i,
+        None => {
+            marked.push((label, Vec::new()));
+            marked.len() - 1
+        }
+    };
+    let list = &mut marked[i].1;
+    if replace {
+        list.clear();
+    }
+    list.extend(senders);
+    list.sort_unstable();
+    list.dedup();
+}
+
+/// Send `msg()` along every `label` edge whose target is a recorded witness
+/// (Algorithm 2 lines 17 and 40). `edges` is the vertex's CSR slice for
+/// `label`, sorted by target like the marks, so one merge walk pairs them;
+/// the marks are lent out for the walk and put back, never cloned.
+fn send_along_marked(
+    ctx: &mut VertexCtx<'_, '_, St, TagMsg>,
+    label: LabelId,
+    edges: &[Edge],
+    mut msg: impl FnMut() -> TagMsg,
+) {
+    debug_assert!(edges.windows(2).all(|w| w[0].target <= w[1].target), "edges unsorted");
+    let Some(i) = ctx.state.marked.iter().position(|(l, _)| *l == label) else { return };
+    let marks = std::mem::take(&mut ctx.state.marked[i].1);
+    let mut j = 0;
+    for e in edges {
+        while j < marks.len() && marks[j] < e.target {
+            j += 1;
+        }
+        if j == marks.len() {
+            break;
+        }
+        if marks[j] == e.target {
+            ctx.send_along(label, e.target, msg());
         }
     }
-    if let Some(s) = senders {
-        let entry = ctx.state.marked.entry(label).or_default();
-        if replace {
-            *entry = s;
-        } else {
-            entry.extend(s);
-        }
-    }
+    ctx.state.marked[i].1 = marks;
 }
 
 /// Tuple-vertex filter check with caching; attribute vertices always pass.
@@ -762,13 +785,10 @@ fn compute_value(
     q: &QueryCtx,
     tag: &TagGraph,
 ) -> Option<Table> {
-    let mut incoming: Vec<&Table> = Vec::new();
-    for m in ctx.messages() {
-        if let TagMsg::Table(t) = m {
-            incoming.push(t);
-        }
-    }
-    let unioned = Table::union(incoming.iter().copied());
+    let unioned = Table::union(ctx.messages().iter().filter_map(|m| match m {
+        TagMsg::Table(t) => Some(&**t),
+        _ => None,
+    }));
     match q.table_of_label.get(&ctx.label()) {
         Some(&t) => {
             let own = q.own_row(t, tag.tuple(ctx.id())?)?;
@@ -803,18 +823,21 @@ fn gather_site(q: &QueryCtx, order: &[usize], tag: &TagGraph, p: &Partitioning) 
 
 fn merge_group(groups: &mut FxHashMap<Box<[Value]>, Partial>, key: Box<[Value]>, p: Partial) {
     match groups.entry(key) {
-        std::collections::hash_map::Entry::Occupied(mut e) => {
-            let g = e.get_mut();
-            for (a, b) in g.accs.iter_mut().zip(&p.accs) {
-                let _ = a.merge(b);
-            }
-            for (a, b) in g.having.iter_mut().zip(&p.having) {
-                let _ = a.merge(b);
-            }
-        }
+        std::collections::hash_map::Entry::Occupied(mut e) => merge_partial(e.get_mut(), &p),
         std::collections::hash_map::Entry::Vacant(e) => {
             e.insert(p);
         }
+    }
+}
+
+/// Merge `p`'s accumulators into the group partial `g` (whose
+/// representative row is kept).
+fn merge_partial(g: &mut Partial, p: &Partial) {
+    for (a, b) in g.accs.iter_mut().zip(&p.accs) {
+        let _ = a.merge(b);
+    }
+    for (a, b) in g.having.iter_mut().zip(&p.having) {
+        let _ = a.merge(b);
     }
 }
 
@@ -1331,6 +1354,28 @@ impl<'a> QueryCtx<'a> {
         }
     }
 
+    /// Fold every row of a final-layout table into `groups`. The group key is
+    /// assembled in a reused scratch buffer; only a group seen for the first
+    /// time allocates (its boxed key and a fresh partial seeded with the
+    /// row).
+    fn fold_rows(&self, value: &Table, groups: &mut FxHashMap<Box<[Value]>, Partial>) {
+        let mut key: Vec<Value> = Vec::with_capacity(self.group_pos.len());
+        value.for_each_row(|row| {
+            key.clear();
+            key.extend(self.group_pos.iter().map(|&p| row[p].clone()));
+            match groups.get_mut(key.as_slice()) {
+                Some(part) => {
+                    let _ = self.update_partial(part, row);
+                }
+                None => {
+                    let mut part = self.fresh_partial(row);
+                    let _ = self.update_partial(&mut part, row);
+                    groups.insert(key.as_slice().into(), part);
+                }
+            }
+        });
+    }
+
     /// Feed one final row into a group's partial.
     fn update_partial(&self, part: &mut Partial, row: &[Value]) -> Result<()> {
         for (item, acc) in self.items.iter().zip(&mut part.accs) {
@@ -1394,5 +1439,44 @@ mod tests {
         assert!(!lost.is_transient());
         assert!(matches!(lost, RelError::Aborted { kind: AbortKind::Fault, .. }));
         assert_eq!(lost.to_string(), "fault: machine 3 lost at superstep 1 with no checkpoint");
+    }
+
+    #[test]
+    fn checkpoint_price_of_a_vertex_state_is_pinned() {
+        let (a, b) = (LabelId(3), LabelId(7));
+        let part = Partial {
+            accs: vec![Accumulator::new(AggFunc::Sum), Accumulator::new(AggFunc::CountStar)],
+            having: vec![Accumulator::new(AggFunc::Max)],
+            rep: vec![Value::Int(1), Value::Null, Value::Str("abc".into())].into(),
+        };
+        let mut la = FxHashMap::default();
+        la.insert(Box::from([Value::Int(1)]), part);
+        let st =
+            St { marked: vec![(a, vec![2, 5, 9]), (b, vec![4])], pass: Some(true), la: Some(la) };
+        // header 8; marks (8 + 3 x 8) + (8 + 1 x 8); verdict 8; one LA
+        // group 32 + 1 key x 16 + 2 accs x 24 + 1 having x 24 + 3 rep x 16.
+        assert_eq!(st_state_bytes(&st), 8 + 32 + 16 + 8 + (32 + 16 + 48 + 24 + 48));
+        assert_eq!(st_state_bytes(&St::default()), 8);
+    }
+
+    #[test]
+    fn marks_union_bottom_up_and_replace_top_down() {
+        let (a, b) = (LabelId(1), LabelId(2));
+        let mut marked = Vec::new();
+        // Bottom-up: duplicate senders collapse; a second step on the same
+        // label unions into the sorted list.
+        update_marks(&mut marked, a, vec![7, 3, 7], false);
+        update_marks(&mut marked, a, vec![5, 3, 11], false);
+        assert_eq!(marked, vec![(a, vec![3, 5, 7, 11])]);
+        // Another label gets its own list; no senders changes nothing.
+        update_marks(&mut marked, b, vec![4, 4], false);
+        update_marks(&mut marked, a, Vec::new(), true);
+        assert_eq!(marked, vec![(a, vec![3, 5, 7, 11]), (b, vec![4])]);
+        // Top-down replaces the label's witnesses, leaving other labels.
+        update_marks(&mut marked, a, vec![11, 5, 5], true);
+        assert_eq!(marked, vec![(a, vec![5, 11]), (b, vec![4])]);
+        let st = St { marked, ..St::default() };
+        assert_eq!(st.marks(a), &[5, 11]);
+        assert_eq!(st.marks(LabelId(9)), &[] as &[VertexId]);
     }
 }

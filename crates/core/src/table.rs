@@ -283,9 +283,10 @@ impl Table {
     }
 
     /// Natural join on shared column keys (hash join on the smaller side;
-    /// cross product when no keys are shared). Join values use `Value`'s
-    /// total equality (never NULL for `Var` keys — attribute vertices exist
-    /// only for non-NULL values).
+    /// a plain key comparison when that side is one row, as a tuple
+    /// vertex's own row is; cross product when no keys are shared). Join
+    /// values use `Value`'s total equality (never NULL for `Var` keys —
+    /// attribute vertices exist only for non-NULL values).
     pub fn natural_join(&self, other: &Table) -> Table {
         // Shared keys: linear merge of the sorted col lists.
         let mut shared = Vec::new();
@@ -356,6 +357,18 @@ impl Table {
         if shared.is_empty() {
             for b in build.iter() {
                 for p in probe.iter() {
+                    emit(&mut out, b, p);
+                }
+            }
+            return Table::from_chunk(out_cols, out);
+        }
+
+        if build.len() == 1 {
+            // One build row: compare its keys against each probe row
+            // directly — the same matches, in the same order, as the index.
+            let b = build.iter().next().expect("one build row");
+            for p in probe.iter() {
+                if bkey.iter().zip(&pkey).all(|(&bk, &pk)| b.get(bk) == p.get(pk)) {
                     emit(&mut out, b, p);
                 }
             }
@@ -606,6 +619,82 @@ mod tests {
             (t.cols.clone(), rows)
         };
         assert_eq!(norm(&a), norm(&b));
+    }
+
+    /// Nested-loop reference for [`Table::natural_join`]: every pair of
+    /// rows agreeing on the shared keys, merged into the sorted union
+    /// layout.
+    fn nested_loop_join(l: &Table, r: &Table) -> (Vec<ColKey>, Vec<Box<[Value]>>) {
+        let mut cols: Vec<ColKey> = l.cols.iter().chain(&r.cols).copied().collect();
+        cols.sort_unstable();
+        cols.dedup();
+        let mut rows = Vec::new();
+        for a in l.to_rows() {
+            for b in r.to_rows() {
+                let agree = l
+                    .cols
+                    .iter()
+                    .enumerate()
+                    .all(|(i, k)| r.col_index(*k).is_none_or(|j| a[i] == b[j]));
+                if agree {
+                    let row: Box<[Value]> = cols
+                        .iter()
+                        .map(|&k| match l.col_index(k) {
+                            Some(i) => a[i].clone(),
+                            None => b[r.col_index(k).unwrap()].clone(),
+                        })
+                        .collect();
+                    rows.push(row);
+                }
+            }
+        }
+        rows.sort();
+        (cols, rows)
+    }
+
+    #[test]
+    fn one_row_join_matches_nested_loop() {
+        let s = |x: &str| Value::Str(x.into());
+        let (a, b) = (ColKey::Col { table: 0, col: 1 }, ColKey::Col { table: 1, col: 1 });
+        // Duplicate probe keys, string and NULL payloads.
+        let many = Table::from_rows(
+            vec![ColKey::Var(0), ColKey::Var(1), a],
+            vec![
+                vec![v(1), v(5), s("abcdefghij")],
+                vec![v(1), v(5), Value::Null],
+                vec![v(1), v(6), s("x")],
+                vec![v(2), v(5), s("yz")],
+                vec![v(1), v(5), s("")],
+            ],
+        );
+        let one_key = Table::one_row(vec![ColKey::Var(0), b], vec![v(1), s("payload")]);
+        let two_keys =
+            Table::one_row(vec![ColKey::Var(0), ColKey::Var(1), b], vec![v(1), v(5), Value::Null]);
+        let no_match = Table::one_row(vec![ColKey::Var(0), b], vec![v(9), s("q")]);
+        let empty = Table::empty(vec![ColKey::Var(0), a]);
+        let cases = [
+            (&many, &one_key),
+            (&one_key, &many),
+            (&many, &two_keys),
+            (&two_keys, &many),
+            (&many, &no_match),
+            (&one_key, &empty),
+            (&empty, &one_key),
+        ];
+        for (l, r) in cases {
+            let j = l.natural_join(r);
+            let (cols, rows) = nested_loop_join(l, r);
+            let mut got = j.to_rows();
+            got.sort();
+            assert_eq!((&j.cols, &got), (&cols, &rows));
+            let str_bytes: usize =
+                rows.iter().flat_map(|row| row.iter()).map(value_str_bytes).sum();
+            assert_eq!(j.approx_bytes(), 16 + rows.len() * cols.len() * 8 + str_bytes);
+        }
+        // Sanity on the fixture: the two-key probe keeps exactly the three
+        // `(1, 5)` rows, the one-key probe the four `1` rows.
+        assert_eq!(many.natural_join(&two_keys).len(), 3);
+        assert_eq!(one_key.natural_join(&many).len(), 4);
     }
 
     #[test]
